@@ -144,7 +144,7 @@ def polygons_adhoc(seed: int, seconds: float, tracer=None, spark_layers=None) ->
     """``AdaptiveGeoBlock.query_select`` on polygons never seen before;
     the AggregateTrie is rebuilt after every pass. A traced run then
     calls ``spark_layers(taxi, polygons, v1, run)``."""
-    run = Run()
+    run = Run(warm_passes=1)
     taxi = rides(seed)
     raw, v1, v2, run.setup_s = build_driver(taxi, tracer)
     for poly in polygon_pass(seed, WARMUP_PASS)[:3]:
@@ -199,7 +199,7 @@ def cells_skewed(seed: int, seconds: float, tracer=None, spark_layers=None) -> R
     skewed 10% subset x4, every query a SELECT then a COUNT, and the pass
     ends with an AggregateTrie build (the ``adapt`` op). A traced run
     then calls ``spark_layers(taxi, polygons, v1, run)``."""
-    run = Run()
+    run = Run(warm_passes=1, repeats=True)
     taxi = rides(seed)
     raw, v1, v2, run.setup_s = build_driver(taxi, tracer)
     base = polygon_pass(seed, 0)

@@ -51,6 +51,12 @@ class Run:
     # Per pass (an equal unit of work): ops, wall seconds, untraced
     # select latencies.
     passes: list = field(default_factory=list)
+    # Leading passes left out of the gated latency: a driver's first
+    # pass runs before any AggregateTrie exists.
+    warm_passes: int = 0
+    # Every steady pass runs the same queries in the same order, so each
+    # query's latency can be taken at its best (see ``run.py``).
+    repeats: bool = False
 
     def sample(self, kind: str, seconds: float) -> None:
         self.samples.setdefault(kind, []).append(seconds)

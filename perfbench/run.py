@@ -1,6 +1,6 @@
 """GeoBlocks benchmark: one workload per run, every answer checked.
 
-    python3 perfbench/run.py --workload cells_skewed --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload cells_skewed --seed 1 --seconds 35 --trace 0
 
 Run from the root of a source tree (``src/repro`` and ``jobs/`` beside
 ``perfbench/``). ``--trace 0`` times the public calls untraced and
@@ -22,6 +22,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 from bench import host
 from bench.stats import percentile, tail
 from bench.trace import Tracer
@@ -31,8 +33,7 @@ OUT = os.path.join(ROOT, ".bench_out")
 WORKLOADS = ("polygons_adhoc", "cells_skewed", "spark_batches")
 
 END_TO_END = {
-    "best_pass_select_p25_ms": "ms",
-    "best_pass_ops_per_s": "1/s",
+    "select_ms": "ms",
     "setup_s": "s",
     "peak_rss_mib": "MiB",
     "size_overhead": "ratio",
@@ -94,9 +95,23 @@ def _p25(xs, scale=1.0):
 
 
 def end_to_end(run) -> dict:
+    """The gated metrics. ``select_ms`` is the median SELECT latency over
+    the passes after the warm-up ones. Where every steady pass repeats
+    the same queries (``run.repeats``), each query counts with its best
+    latency over those passes, as ``timeit`` takes the best of its
+    repeats: a shared host slows the same code two- to fourfold for
+    tenths of a second to minutes, and a query of ~0.1 ms either falls
+    into such a phase or not. Where queries never repeat (fresh polygons, Spark
+    batches) each is one sample."""
+    steady = run.passes[run.warm_passes:]
+    if run.repeats:
+        full = max(len(sel) for _, _, sel in steady)  # a pass whose op raised has fewer
+        best = np.min([sel for _, _, sel in steady if len(sel) == full], axis=0)
+        select = _p50(best, 1e3)
+    else:
+        select = _p50([x for _, _, sel in steady for x in sel], 1e3)
     return {
-        "best_pass_select_p25_ms": min(_p25(sel, 1e3) for _, _, sel in run.passes if sel),
-        "best_pass_ops_per_s": max(ops / secs for ops, secs, _ in run.passes),
+        "select_ms": select,
         "setup_s": statistics.median(run.setup_s),
         "peak_rss_mib": run.peak_rss_mib,
         "size_overhead": run.size_overhead,
@@ -194,6 +209,8 @@ def run_one(a) -> dict:
     }
     record["samples_ms"] = {k: _ms(v) for k, v in run.samples.items()}
     record["ops"], record["window_s"] = run.ops, run.window_s
+    record["passes"] = [(ops, secs) for ops, secs, _ in run.passes]
+    record["warm_passes"] = run.warm_passes
     record["deterministic"] = dict(
         run.counts, size_overhead=run.size_overhead, count_rel_error=run.count_rel_error
     )

@@ -44,29 +44,17 @@ class BinarySearchEngine:
         aggregate the raw tuples in between (vectorized over cells with
         the same segment reductions the GeoBlock uses over headers, so
         both engines' costs stay proportional to elements scanned)."""
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
+        cols = needed_stats(specs)
+        acc = AggAccumulator(cols)
         cells = np.asarray(cells, dtype=np.int64)
-        if len(cells) == 0:
-            return acc.finalize(specs)
         lsb = cells & -cells
         keys = self.raw.keys
         i0 = keys.searchsorted(cells - lsb + 1, side="left")
         i1 = keys.searchsorted(cells + lsb - 1, side="right")
         m = i1 > i0
         if m.any():
-            i0, i1 = i0[m], i1[m]
-            acc.count += int((i1 - i0).sum())
-            idx = gather_ranges(i0, i1)
-            for c in cols:
-                stats = cols[c]
-                vals = self.raw.columns[c][idx]
-                if "min" in stats:
-                    acc.mins[c] = min(acc.mins[c], float(vals.min()))
-                if "max" in stats:
-                    acc.maxs[c] = max(acc.maxs[c], float(vals.max()))
-                if "sum" in stats:
-                    acc.sums[c] += float(vals.sum())
+            idx = gather_ranges(i0[m], i1[m])
+            acc.combine(len(idx), self.raw.values(cols, idx))
         return acc.finalize(specs)
 
     def query_select(self, polygon, specs):

@@ -13,7 +13,7 @@ differ only in how the scan start is located, exactly as in the paper.
 """
 import numpy as np
 
-from repro.core.geoblock import AggAccumulator, needed_stats
+from repro.core.geoblock import AggAccumulator, gather_ranges, needed_stats
 from repro.core.raw import RawTable
 from repro.s2lite.cell import range_max, range_min
 from repro.s2lite.covering import exterior_covering
@@ -112,10 +112,8 @@ class BTreeEngine:
         scan end, then aggregate all tuple ranges with the shared segment
         reductions (same fairness argument as BinarySearch: the probe
         cost differs, the aggregation path is identical)."""
-        from repro.core.geoblock import gather_ranges
-
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
+        cols = needed_stats(specs)
+        acc = AggAccumulator(cols)
         los, his = [], []
         for cid in cells:
             lo, hi = self._cell_range(cid)
@@ -123,19 +121,8 @@ class BTreeEngine:
                 los.append(lo)
                 his.append(hi)
         if los:
-            i0 = np.asarray(los, dtype=np.int64)
-            i1 = np.asarray(his, dtype=np.int64)
-            acc.count += int((i1 - i0).sum())
-            idx = gather_ranges(i0, i1)
-            for c in cols:
-                stats = cols[c]
-                vals = self.raw.columns[c][idx]
-                if "min" in stats:
-                    acc.mins[c] = min(acc.mins[c], float(vals.min()))
-                if "max" in stats:
-                    acc.maxs[c] = max(acc.maxs[c], float(vals.max()))
-                if "sum" in stats:
-                    acc.sums[c] += float(vals.sum())
+            idx = gather_ranges(np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64))
+            acc.combine(len(idx), self.raw.values(cols, idx))
         return acc.finalize(specs)
 
     def query_select(self, polygon, specs):

@@ -141,19 +141,10 @@ class QuadtreeEngine:
 
     def query_rect(self, rect: Rect, specs):
         idx = self.tree.range_indices(rect)
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
+        cols = needed_stats(specs)
+        acc = AggAccumulator(cols)
         if len(idx):
-            acc.count = len(idx)
-            for c in cols:
-                stats = cols[c]
-                vals = self.raw.columns[c][idx]
-                if "min" in stats:
-                    acc.mins[c] = float(vals.min())
-                if "max" in stats:
-                    acc.maxs[c] = float(vals.max())
-                if "sum" in stats:
-                    acc.sums[c] = float(vals.sum())
+            acc.combine(len(idx), self.raw.values(cols, idx))
         return acc.finalize(specs)
 
     def query_select(self, polygon: Polygon, specs):

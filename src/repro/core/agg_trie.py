@@ -15,7 +15,8 @@ relevant unaggregated cell until the reserved area is filled".
 """
 import numpy as np
 
-from repro.s2lite.cell import cell_level, contains, parent
+from repro.core.geoblock import aggregate_row
+from repro.s2lite.cell import cell_level, children, contains, parent
 
 __all__ = ["AggregateTrie"]
 
@@ -30,7 +31,7 @@ class AggregateTrie:
         self.budget_bytes = budget_bytes
         self.agg_row_bytes = agg_row_bytes
         self.nodes = {root}  # cells with an allocated trie node
-        self.rows = {}  # cell id -> (count, mins, maxs, sums)
+        self.slot_of = {}  # cached cell id -> slot, in insertion order
         self.used_bytes = _NODE_BYTES  # the root node itself
 
     # -- construction -----------------------------------------------------
@@ -52,7 +53,7 @@ class AggregateTrie:
                 continue
             if not contains(trie.root, cid) and cid != trie.root:
                 continue
-            if not trie._try_insert(cid, block):
+            if not trie._try_insert(cid):
                 # The paper fills in strict rank order and stops at the
                 # first cell that no longer fits (strict order guarantee).
                 break
@@ -60,49 +61,30 @@ class AggregateTrie:
         return trie
 
     def _finalize(self, block) -> None:
-        """Lay the cached aggregates out as contiguous arrays (the
-        paper's aggregate storage, addressed by trie offsets): the
-        adapted query algorithm merges N cached cells with vectorized
-        reductions over slot indices instead of N Python-level row
-        merges. Empty cells store neutral elements (inf/-inf/0) so they
-        vanish under min/max/sum."""
-        n = len(self.rows)
-        self.slot_of = {}
-        self.counts_arr = np.zeros(n, dtype=np.int64)
-        self.mins_arr = {c: np.full(n, np.inf) for c in block.value_cols}
-        self.maxs_arr = {c: np.full(n, -np.inf) for c in block.value_cols}
-        self.sums_arr = {c: np.zeros(n) for c in block.value_cols}
-        for slot, (cid, (count, mins, maxs, sums)) in enumerate(self.rows.items()):
-            self.slot_of[cid] = slot
-            self.counts_arr[slot] = count
-            for c in block.value_cols:
-                if mins[c] is not None:
-                    self.mins_arr[c][slot] = mins[c]
-                if maxs[c] is not None:
-                    self.maxs_arr[c][slot] = maxs[c]
-                self.sums_arr[c][slot] = sums[c]
+        """Aggregate the cached cells into contiguous arrays (the paper's
+        aggregate storage, addressed by trie offsets), laid out like the
+        GeoBlock's header arrays so one executor reduces both."""
+        ids = np.fromiter(self.slot_of, dtype=np.int64, count=len(self.slot_of))
+        self.counts, self.aggs = block.cell_aggregates(ids)
+        self.rows = {
+            cid: aggregate_row(self.counts, self.aggs, slot)
+            for cid, slot in self.slot_of.items()
+        }
         # Sorted-id views for batch probes: searchsorted membership is
         # the vectorized equivalent of the paper's per-cell trie descent.
-        ids = np.fromiter(self.rows.keys(), dtype=np.int64, count=n)
-        order = np.argsort(ids)
-        self.sorted_ids = ids[order]
-        self.sorted_slots = np.arange(n, dtype=np.int64)[order]
-        self.node_ids = np.fromiter(
-            sorted(self.nodes), dtype=np.int64, count=len(self.nodes)
-        )
+        self.sorted_slots = np.argsort(ids)
+        self.sorted_ids = ids[self.sorted_slots]
         # Parents with at least one *aggregated direct child*: the only
         # uncached query cells for which the children-combination path of
         # the adapted algorithm can beat the plain fallback. Probing this
         # set instead of all allocated nodes skips the guaranteed-futile
         # child lookups that sibling allocation would otherwise cause.
-        parents = set()
-        for cid in self.rows:
-            lvl = cell_level(cid)
-            if lvl > self.root_level:
-                parents.add(parent(cid, lvl - 1))
-        self.child_parent_ids = np.fromiter(
-            sorted(parents), dtype=np.int64, count=len(parents)
-        )
+        self.child_parents = {
+            parent(cid, cell_level(cid) - 1)
+            for cid in self.slot_of
+            if cell_level(cid) > self.root_level
+        }
+        self.child_parent_ids = np.array(sorted(self.child_parents), dtype=np.int64)
 
     def _path_cost_bytes(self, cid: int) -> int:
         """Bytes of new trie nodes needed to reach ``cid``: one 4-child
@@ -120,7 +102,7 @@ class AggregateTrie:
             l -= 1
         return cost
 
-    def _try_insert(self, cid: int, block) -> bool:
+    def _try_insert(self, cid: int) -> bool:
         cost = self._path_cost_bytes(cid) + self.agg_row_bytes
         if self.used_bytes + cost > self.budget_bytes:
             return False
@@ -131,11 +113,11 @@ class AggregateTrie:
             if node not in self.nodes:
                 if l > self.root_level:
                     p = parent(cid, l - 1)
-                    for sib in _children_of(p):
+                    for sib in children(p):
                         self.nodes.add(sib)
                 else:
                     self.nodes.add(node)
-        self.rows[cid] = block.cell_aggregate_row(cid)
+        self.slot_of[cid] = len(self.slot_of)
         self.used_bytes += cost
         return True
 
@@ -144,19 +126,56 @@ class AggregateTrie:
         """Cached aggregate row for ``cid`` or None."""
         return self.rows.get(int(cid))
 
+    def lookup(self, cells, *, batch: bool = True):
+        """Resolve query cells against the cache (the paper's Figure 5).
+
+        Returns the storage slots of every cached cell in ``cells`` and
+        of the cached direct children of uncached ones, and the cells
+        left for the header scan: the other uncached cells and the
+        uncached children. ``batch`` probes all cells with one
+        ``searchsorted``; otherwise each cell is probed on its own, as
+        the paper's per-cell trie descent is.
+        """
+        if batch:
+            pos, hit = _find(self.sorted_ids, cells)
+            slots, rest = self.sorted_slots[pos[hit]], cells[~hit]
+            _, via_kids = _find(self.child_parent_ids, rest)
+            parents, rest = rest[via_kids].tolist(), rest[~via_kids]
+        else:
+            slots, rest, parents = [], [], []
+            for cid in cells.tolist():
+                slot = self.slot_of.get(cid)
+                if slot is not None:
+                    slots.append(slot)
+                elif cid in self.child_parents:
+                    parents.append(cid)
+                else:
+                    rest.append(cid)
+            slots = np.array(slots, dtype=np.int64)
+            rest = np.array(rest, dtype=np.int64)
+        if parents:
+            kids = np.array([k for cid in parents for k in children(cid)], dtype=np.int64)
+            pos, hit = _find(self.sorted_ids, kids)
+            slots = np.concatenate([slots, self.sorted_slots[pos[hit]]])
+            rest = np.concatenate([rest, kids[~hit]])
+        return slots, rest
+
     def has_node(self, cid: int) -> bool:
-        """Whether the trie probe reaches a node for ``cid`` (if not, the
-        adapted algorithm aborts and falls back to V1)."""
+        """Whether ``cid`` has an allocated trie node (the nodes the byte
+        accounting charges for)."""
         return int(cid) in self.nodes
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.slot_of)
 
     def size_bytes(self) -> int:
         return self.used_bytes
 
 
-def _children_of(cid: int):
-    from repro.s2lite.cell import children
-
-    return children(cid)
+def _find(sorted_ids, cells):
+    """Position of each of ``cells`` in the sorted array ``sorted_ids``,
+    and whether it is there."""
+    if not len(sorted_ids):
+        return np.zeros(len(cells), dtype=np.int64), np.zeros(len(cells), dtype=bool)
+    pos = np.minimum(sorted_ids.searchsorted(cells), len(sorted_ids) - 1)
+    return pos, sorted_ids[pos] == cells

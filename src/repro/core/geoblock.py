@@ -8,21 +8,26 @@ columnar equivalent of the paper's contiguous header array). A
 block-wide header (global key range + global aggregates) drives the
 pre-query check.
 
-Query algorithms:
+Every query runs in two steps, plan then execute:
 
-- **SELECT (V1)** — for each covering cell, an upper-bound binary search
-  locates the first contained CellBlock Header; the following headers
-  are combined until the cell's descendant range ends. Cost is
-  proportional to the number of CellBlocks scanned, as in the paper
-  (slice reductions, deliberately not prefix sums).
-- **COUNT** — reads only the first and last contained header:
-  ``offset_last + count_last - offset_first``.
-- **SELECT (V2, adaptive)** — records every query cell in a
+- **Plan.** A plan is a pair: AggregateTrie slots, and header ranges
+  ``[i0, i1)``. V1 plans each covering cell with an upper-bound binary
+  search for its first and last contained CellBlock Header. V2
+  (adaptive) records the covering in a
   :class:`~repro.core.stats_trie.StatsTrie`; once an
-  :class:`~repro.core.agg_trie.AggregateTrie` has been built, a query
-  cell is answered from the cached aggregate if present, else by
-  combining cached *direct children* with V1 scans of the missing ones,
-  else by plain V1 (Figure 5 of the paper).
+  :class:`~repro.core.agg_trie.AggregateTrie` has been built, a cached
+  cell becomes a slot, an uncached cell with cached *direct children*
+  becomes their slots plus the children left over, and every other cell
+  is planned as in V1 (Figure 5 of the paper). Query cells must be at or
+  above the block level; finer cells are rejected.
+- **Execute.** One executor serves every plan: one reduction over the
+  cached aggregates at the slots and one over the headers in the ranges.
+  Cost is proportional to the number of CellBlocks scanned, as in the
+  paper (gathered reductions, deliberately not prefix sums).
+
+COUNT reads only the first and last header of each V1 range:
+``offset_last + count_last - offset_first``. ``batch`` selects how a
+query is planned, never how it is executed.
 """
 import math
 import time
@@ -30,12 +35,13 @@ import time
 import numpy as np
 
 from repro.core.raw import RawTable
-from repro.s2lite.cell import children, range_max, range_min
+from repro.s2lite.cell import MAX_LEVEL
 from repro.s2lite.covering import exterior_covering
 
 __all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "needed_stats"]
 
 _STATS = ("min", "max", "sum")
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 
 def gather_ranges(i0, i1):
@@ -51,48 +57,79 @@ def gather_ranges(i0, i1):
     stays fair. Segments must be non-empty (``i1 > i0``).
     """
     lens = i1 - i0
-    shift = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(i0 - shift, lens)
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1], dtype=np.int64) + np.repeat(i0 - ends + lens, lens)
 
 
 def needed_stats(specs):
-    """Map aggregate specs to the per-column stats that must be combined
-    (``avg`` needs sum+count; ``count`` needs no column stats)."""
+    """Map aggregate specs to the per-column stats that must be combined,
+    ``{col: {"min", "max", "sum"} subset}`` (``avg`` needs the sum; the
+    count is always kept)."""
     cols = {}
-    need_count = False
     for col, op in specs:
-        if op == "count":
-            need_count = True
-        elif op in ("min", "max", "sum"):
+        if op in _STATS:
             cols.setdefault(col, set()).add(op)
         elif op == "avg":
             cols.setdefault(col, set()).add("sum")
-            need_count = True
-        else:
+        elif op != "count":
             raise ValueError(f"unknown aggregate op {op!r}")
-    return cols, need_count
+    return cols
+
+
+def _select(aggs, cols, idx):
+    """The elements at ``idx`` of the per-column stat arrays ``aggs``
+    (``{col: {stat: array}}``) that the query's ``cols`` need."""
+    return {c: {op: aggs[c][op][idx] for op in ops} for c, ops in cols.items()}
+
+
+def _reduce_segments(values, starts):
+    """Per-segment min/max/sum of ``values`` (``{col: {stat: array}}``),
+    a segment running from each of ``starts`` to the next: the
+    pre-aggregation behind CellBlock headers and cached cells alike."""
+    return {
+        c: {
+            "min": np.minimum.reduceat(v["min"], starts),
+            "max": np.maximum.reduceat(v["max"], starts),
+            "sum": np.add.reduceat(v["sum"], starts),
+        }
+        for c, v in values.items()
+    }
+
+
+def aggregate_row(counts, aggs, j):
+    """Entry ``j`` of per-cell aggregate arrays (as from
+    :meth:`GeoBlock.cell_aggregates`) as a row ``(count, mins, maxs,
+    sums)`` of per-column dicts; an empty cell has no min or max."""
+    empty = counts[j] == 0
+    return (
+        int(counts[j]),
+        {c: None if empty else float(a["min"][j]) for c, a in aggs.items()},
+        {c: None if empty else float(a["max"][j]) for c, a in aggs.items()},
+        {c: float(a["sum"][j]) for c, a in aggs.items()},
+    )
 
 
 class AggAccumulator:
-    """Running combination of CellBlock aggregates for one query."""
+    """Running combination of aggregates for one query."""
 
     def __init__(self, cols):
         self.count = 0
         self.mins = {c: math.inf for c in cols}
         self.maxs = {c: -math.inf for c in cols}
         self.sums = {c: 0.0 for c in cols}
-        self._cols = cols
 
-    def merge_row(self, count, mins, maxs, sums):
-        """Merge one pre-combined aggregate row (e.g. a cached cell)."""
+    def combine(self, count, values):
+        """Fold ``count`` tuples into the result, given per column
+        ``values[c][stat]``: the arrays of the elements' ``stat`` (their
+        min/max/sum, or raw values for tuples) for the stats to combine."""
         self.count += count
-        for c in self._cols:
-            if c in mins and mins[c] is not None:
-                self.mins[c] = min(self.mins[c], mins[c])
-            if c in maxs and maxs[c] is not None:
-                self.maxs[c] = max(self.maxs[c], maxs[c])
-            if c in sums:
-                self.sums[c] += sums[c]
+        for c, stats in values.items():
+            if "min" in stats:
+                self.mins[c] = min(self.mins[c], float(stats["min"].min()))
+            if "max" in stats:
+                self.maxs[c] = max(self.maxs[c], float(stats["max"].max()))
+            if "sum" in stats:
+                self.sums[c] += float(stats["sum"].sum())
 
     def finalize(self, specs):
         """Project the accumulator onto the requested ``specs``."""
@@ -122,6 +159,8 @@ class GeoBlock:
     # figures and the AggregateTrie threshold accounting.
     _FIXED_HEADER_FIELDS = 3
 
+    agg_trie = None  # V1 caches nothing; its plans hold no slots
+
     def __init__(self, *, level, keys, offsets, counts, aggs, value_cols, key_min, key_max):
         self.level = level
         self.keys = keys  # sorted cell ids at `level`
@@ -131,15 +170,11 @@ class GeoBlock:
         self.value_cols = list(value_cols)
         self.key_min = key_min  # smallest point key in the block
         self.key_max = key_max
-        total = AggAccumulator(self.value_cols)
+        # Lowest set bit of a block-level cell id; finer cells have less.
+        self._block_lsb = 1 << (2 * (MAX_LEVEL - level))
+        self.block_header = AggAccumulator(self.value_cols)
         if len(keys):
-            total.merge_row(
-                int(counts.sum()),
-                {c: float(aggs[c]["min"].min()) for c in value_cols},
-                {c: float(aggs[c]["max"].max()) for c in value_cols},
-                {c: float(aggs[c]["sum"].sum()) for c in value_cols},
-            )
-        self.block_header = total
+            self.block_header.combine(int(counts.sum()), aggs)
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -155,13 +190,9 @@ class GeoBlock:
         starts = np.flatnonzero(np.r_[True, np.diff(cells) != 0])
         keys = cells[starts]
         counts = np.diff(np.r_[starts, n]).astype(np.int64)
-        aggs = {}
-        for c, arr in raw.columns.items():
-            aggs[c] = {
-                "min": np.minimum.reduceat(arr, starts),
-                "max": np.maximum.reduceat(arr, starts),
-                "sum": np.add.reduceat(arr, starts),
-            }
+        aggs = _reduce_segments(
+            {c: dict.fromkeys(_STATS, arr) for c, arr in raw.columns.items()}, starts
+        )
         blk = cls(
             level=level,
             keys=keys,
@@ -199,155 +230,111 @@ class GeoBlock:
         level)."""
         return exterior_covering(polygon, self.level, min_level=min_level)
 
-    # -- V1 query algorithm ----------------------------------------------
-    def _pre_check(self, rmin: int, rmax: int) -> bool:
-        """Block-wide key-range check: skip cells entirely outside."""
-        return not (rmax < self.key_min or rmin > self.key_max)
+    # -- query kernel: plan, then execute ----------------------------------
+    def _ranges(self, cells, batch: bool = True):
+        """V1 planning: the non-empty header ranges ``[i0, i1)`` under
+        ``cells``, found by an upper-bound binary search per cell range.
 
-    def _combine_cell(self, cid: int, acc: AggAccumulator, cols):
-        """Combine all CellBlock aggregates under query cell ``cid``.
-
-        Short header runs (the common case: covering cells at the block
-        level hold exactly one CellBlock) are combined with plain Python
-        indexing — a numpy reduction call costs ~2.5us regardless of
-        slice length, which would make a 1-header combine as expensive
-        as a 1000-header one and flatten the very cost structure the
-        paper measures. Cost stays proportional to headers scanned.
+        ``batch`` runs all searches as one vectorized ``searchsorted``;
+        otherwise each cell gets the block-wide pre-query check and its
+        own two binary searches, the paper's per-cell cost structure.
         """
-        rmin, rmax = range_min(cid), range_max(cid)
-        if not self._pre_check(rmin, rmax):
-            return
-        i0 = int(np.searchsorted(self.keys, rmin, side="left"))
-        i1 = int(np.searchsorted(self.keys, rmax, side="right"))
-        n = i1 - i0
-        if n <= 0:
-            return
-        if n <= 8:
-            counts = self.counts
-            total = 0
-            for j in range(i0, i1):
-                total += counts[j]
-            acc.count += int(total)
-            for c in cols:
-                stats = cols[c]
-                a = self.aggs[c]
-                if "min" in stats:
-                    arr, best = a["min"], acc.mins[c]
-                    for j in range(i0, i1):
-                        v = arr[j]
-                        if v < best:
-                            best = v
-                    acc.mins[c] = best
-                if "max" in stats:
-                    arr, best = a["max"], acc.maxs[c]
-                    for j in range(i0, i1):
-                        v = arr[j]
-                        if v > best:
-                            best = v
-                    acc.maxs[c] = best
-                if "sum" in stats:
-                    arr = a["sum"]
-                    t = 0.0
-                    for j in range(i0, i1):
-                        t += arr[j]
-                    acc.sums[c] += t
-            return
-        acc.count += int(self.counts[i0:i1].sum())
-        for c in cols:
-            stats = cols[c]
-            a = self.aggs[c]
-            if "min" in stats:
-                acc.mins[c] = min(acc.mins[c], float(a["min"][i0:i1].min()))
-            if "max" in stats:
-                acc.maxs[c] = max(acc.maxs[c], float(a["max"][i0:i1].max()))
-            if "sum" in stats:
-                acc.sums[c] += float(a["sum"][i0:i1].sum())
-
-    def _combine_cells_vectorized(self, cells, acc: AggAccumulator, cols):
-        """Batch version of :meth:`_combine_cell` for a sorted, disjoint
-        cell list: one searchsorted pass for all range bounds, then
-        segment reductions over the header arrays."""
         cells = np.asarray(cells, dtype=np.int64)
         lsb = cells & -cells
-        rmin = cells - lsb + 1
-        rmax = cells + lsb - 1
-        i0 = self.keys.searchsorted(rmin, side="left")
-        i1 = self.keys.searchsorted(rmax, side="right")
+        if lsb.min(initial=self._block_lsb) < self._block_lsb:
+            raise ValueError(
+                f"query cells must be at or above the block level {self.level}"
+            )
+        rmin, rmax = cells - lsb + 1, cells + lsb - 1
+        if batch:
+            i0 = self.keys.searchsorted(rmin, side="left")
+            i1 = self.keys.searchsorted(rmax, side="right")
+        else:
+            keys, i0, i1 = self.keys, [], []
+            for lo, hi in zip(rmin.tolist(), rmax.tolist()):
+                if hi >= self.key_min and lo <= self.key_max:
+                    i0.append(keys.searchsorted(lo, side="left"))
+                    i1.append(keys.searchsorted(hi, side="right"))
+            i0 = np.array(i0, dtype=np.int64)
+            i1 = np.array(i1, dtype=np.int64)
         m = i1 > i0
-        if not m.any():
-            return
-        i0, i1 = i0[m], i1[m]
-        # Contiguity of headers makes COUNT an O(1)-per-cell offset
-        # difference, exactly the specialized COUNT-query formula.
-        acc.count += int(
-            (self.offsets[i1 - 1] + self.counts[i1 - 1] - self.offsets[i0]).sum()
-        )
-        idx = gather_ranges(i0, i1)
-        for c in cols:
-            stats = cols[c]
-            a = self.aggs[c]
-            if "min" in stats:
-                acc.mins[c] = min(acc.mins[c], float(a["min"][idx].min()))
-            if "max" in stats:
-                acc.maxs[c] = max(acc.maxs[c], float(a["max"][idx].max()))
-            if "sum" in stats:
-                acc.sums[c] += float(a["sum"][idx].sum())
+        return i0[m], i1[m]
+
+    def _plan(self, cells, batch: bool):
+        """A plan is ``(AggregateTrie slots, i0, i1)``; V1 has no slots."""
+        return (_NO_SLOTS, *self._ranges(cells, batch))
+
+    def _execute(self, plan, cols) -> AggAccumulator:
+        """Combine a plan: one reduction over the cached aggregates at its
+        slots, one over the headers in its ranges (``cols`` as returned
+        by :func:`needed_stats`). Empty parts are skipped."""
+        slots, i0, i1 = plan
+        acc = AggAccumulator(cols)
+        if len(slots):
+            trie = self.agg_trie
+            acc.combine(int(trie.counts[slots].sum()), _select(trie.aggs, cols, slots))
+        if len(i0):
+            idx = gather_ranges(i0, i1)
+            acc.combine(int(self.counts[idx].sum()), _select(self.aggs, cols, idx))
+        return acc
 
     def query_cells(self, cells, specs, *, batch: bool = True):
         """SELECT over an explicit list of covering cells.
 
-        ``batch=True`` (default) combines all cells with one vectorized
-        pass — the idiomatic numpy execution used for the engine
-        comparisons. ``batch=False`` processes covering cells one at a
-        time, reproducing the paper's query-at-a-time C++ cost structure
-        (binary search + header scan per cell); the adaptive experiments
-        (Figs. 9/10) use this mode because the V1-vs-V2 difference lives
-        precisely in those per-cell costs. Results are identical.
+        ``batch`` selects only the planning step (see :meth:`_ranges`):
+        one vectorized pass for the engine comparisons, or
+        query-at-a-time for the adaptive experiments (Figs. 9/10), whose
+        V1-vs-V2 difference lives in per-cell probe costs. Both plans go
+        through the same executor, so results are identical.
         """
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
-        if batch and len(cells) >= 4:
-            self._combine_cells_vectorized(cells, acc, cols)
-        else:
-            for cid in cells:
-                self._combine_cell(int(cid), acc, cols)
-        return acc.finalize(specs)
+        cols = needed_stats(specs)
+        return self._execute(self._plan(cells, batch), cols).finalize(specs)
 
     def query_select(self, polygon, specs):
         """SELECT over a query polygon (covering computed here)."""
         return self.query_cells(self.cover(polygon), specs)
 
     def count_cells(self, cells) -> int:
-        """Specialized COUNT: first/last contained header only
-        (``offset_last + count_last - offset_first``)."""
-        total = 0
-        for cid in cells:
-            rmin, rmax = range_min(int(cid)), range_max(int(cid))
-            if not self._pre_check(rmin, rmax):
-                continue
-            i0 = int(np.searchsorted(self.keys, rmin, side="left"))
-            j = int(np.searchsorted(self.keys, rmax, side="right")) - 1
-            if j < i0:
-                continue
-            total += int(self.offsets[j] + self.counts[j] - self.offsets[i0])
-        return total
+        """Specialized COUNT over the V1 plan's header ranges: headers are
+        contiguous, so a range reads its first and last header only
+        (``offset_last + count_last - offset_first``). COUNT is never
+        recorded or cached: the paper does not adapt it."""
+        i0, i1 = self._ranges(cells)
+        return int((self.offsets[i1 - 1] + self.counts[i1 - 1] - self.offsets[i0]).sum())
 
     def query_count(self, polygon) -> int:
         return self.count_cells(self.cover(polygon))
 
+    def cell_aggregates(self, cells):
+        """Count and min/max/sum of every column under each of ``cells``,
+        laid out like the header arrays — what the AggregateTrie caches.
+        A cell without tuples holds neutral elements (0, inf, -inf, 0),
+        which vanish when combined."""
+        cells = np.asarray(cells, dtype=np.int64)
+        n = len(cells)
+        counts = np.zeros(n, dtype=np.int64)
+        aggs = {
+            c: {"min": np.full(n, np.inf), "max": np.full(n, -np.inf), "sum": np.zeros(n)}
+            for c in self.value_cols
+        }
+        lsb = cells & -cells
+        i0 = self.keys.searchsorted(cells - lsb + 1, side="left")
+        i1 = self.keys.searchsorted(cells + lsb - 1, side="right")
+        full = i1 > i0
+        if full.any():
+            lens = (i1 - i0)[full]
+            starts = np.cumsum(lens) - lens
+            idx = gather_ranges(i0[full], i1[full])
+            counts[full] = np.add.reduceat(self.counts[idx], starts)
+            every = {c: _STATS for c in self.value_cols}
+            for c, seg in _reduce_segments(_select(self.aggs, every, idx), starts).items():
+                for stat, v in seg.items():
+                    aggs[c][stat][full] = v
+        return counts, aggs
+
     def cell_aggregate_row(self, cid: int):
-        """Full aggregate row (count + min/max/sum of every column) for
-        one query cell — what the AggregateTrie caches."""
-        cols = {c: {"min", "max", "sum"} for c in self.value_cols}
-        acc = AggAccumulator(self.value_cols)
-        self._combine_cell(int(cid), acc, cols)
-        empty = acc.count == 0
-        return (
-            acc.count,
-            {c: (None if empty else acc.mins[c]) for c in self.value_cols},
-            {c: (None if empty else acc.maxs[c]) for c in self.value_cols},
-            {c: acc.sums[c] for c in self.value_cols},
-        )
+        """Full aggregate row of one query cell (see :func:`aggregate_row`)."""
+        return aggregate_row(*self.cell_aggregates([cid]), 0)
 
 
 class AdaptiveGeoBlock(GeoBlock):
@@ -383,119 +370,20 @@ class AdaptiveGeoBlock(GeoBlock):
 
         self.agg_trie = AggregateTrie.build(self, self.stats, threshold)
 
-    def _query_cells_percell(self, cells, specs):
-        """Query-at-a-time adapted SELECT — the paper's Figure 5 verbatim:
-        per covering cell, record stats, probe the trie, use the cached
-        aggregate / cached direct children / old algorithm."""
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
-        trie = self.agg_trie
-        for cid in cells:
-            cid = int(cid)
-            self.stats.record(cid)
-            if trie is not None:
-                row = trie.get(cid)
-                if row is not None:
-                    acc.merge_row(row[0], row[1], row[2], row[3])
-                    continue
-                if trie.has_node(cid):
-                    lsb = cid & -cid
-                    if 30 - (lsb.bit_length() - 1) // 2 < self.level:
-                        kids = children(cid)
-                        kid_rows = [trie.get(k) for k in kids]
-                        if any(r is not None for r in kid_rows):
-                            for k, r in zip(kids, kid_rows):
-                                if r is not None:
-                                    acc.merge_row(r[0], r[1], r[2], r[3])
-                                else:
-                                    self._combine_cell(k, acc, cols)
-                            continue
-            self._combine_cell(cid, acc, cols)
-        return acc.finalize(specs)
-
-    def query_cells(self, cells, specs, *, batch: bool = True):
-        """Adapted SELECT (paper Figure 5): cached cells resolve to slots
-        in the AggregateTrie's contiguous aggregate storage and are
-        merged with one vectorized reduction; uncached ones (including
-        uncached children of partially-cached parents) fall back to the
-        old algorithm, batched into one vectorized combine.
-
-        ``batch=False`` runs the query-at-a-time variant instead (see
-        :meth:`GeoBlock.query_cells` for why both exist).
-        """
-        if not batch:
-            return self._query_cells_percell(cells, specs)
-        cols, _ = needed_stats(specs)
-        acc = AggAccumulator(list(cols))
-        trie = self.agg_trie
-        arr = np.asarray(cells, dtype=np.int64)
-        self.stats.record_many(arr)
-        if trie is None or len(trie.rows) == 0:
-            slot_arr = np.empty(0, dtype=np.int64)
-            fallback = arr
+    def _plan(self, cells, batch: bool):
+        """Adapted planning (paper Figure 5): cached cells, and cached
+        direct children of uncached ones, resolve to AggregateTrie slots;
+        the cells left over are planned as in V1. The whole covering is
+        recorded in the StatsTrie once per query, after planning has
+        validated it."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if self.agg_trie is None:
+            plan = super()._plan(cells, batch)
         else:
-            # Batch trie probe: membership of every query cell in the
-            # cached-id array (one searchsorted for the whole covering).
-            n = len(trie.sorted_ids)
-            pos = np.minimum(trie.sorted_ids.searchsorted(arr), n - 1)
-            hit = trie.sorted_ids[pos] == arr
-            slot_arr = trie.sorted_slots[pos[hit]]
-            miss = arr[~hit]
-            # Misses whose *direct children* hold cached aggregates can
-            # still combine them (Figure 5); all other misses go straight
-            # to the old algorithm (the paper aborts the probe there; we
-            # additionally skip probing cells whose allocated node
-            # provably has no aggregated direct child — same results).
-            cands = trie.child_parent_ids
-            if len(miss) and len(cands):
-                npos = np.minimum(cands.searchsorted(miss), len(cands) - 1)
-                has_node = cands[npos] == miss
-            else:
-                has_node = np.zeros(len(miss), dtype=bool)
-            fallback = miss[~has_node]
-            node_miss = miss[has_node]
-            if len(node_miss):
-                extra_slots = []
-                extra_fallback = []
-                slot_get = trie.slot_of.get
-                for cid in node_miss:
-                    cid = int(cid)
-                    lsb = cid & -cid
-                    if 30 - (lsb.bit_length() - 1) // 2 < self.level:
-                        kids = children(cid)
-                        kid_slots = [slot_get(k) for k in kids]
-                        if any(s2 is not None for s2 in kid_slots):
-                            for k, s2 in zip(kids, kid_slots):
-                                if s2 is not None:
-                                    extra_slots.append(s2)
-                                else:
-                                    extra_fallback.append(k)
-                            continue
-                    extra_fallback.append(cid)
-                if extra_slots:
-                    slot_arr = np.concatenate(
-                        [slot_arr, np.asarray(extra_slots, dtype=np.int64)]
-                    )
-                if extra_fallback:
-                    fallback = np.concatenate(
-                        [fallback, np.asarray(extra_fallback, dtype=np.int64)]
-                    )
-        if len(slot_arr):
-            acc.count += int(trie.counts_arr[slot_arr].sum())
-            for c in cols:
-                stats = cols[c]
-                if "min" in stats:
-                    acc.mins[c] = min(acc.mins[c], float(trie.mins_arr[c][slot_arr].min()))
-                if "max" in stats:
-                    acc.maxs[c] = max(acc.maxs[c], float(trie.maxs_arr[c][slot_arr].max()))
-                if "sum" in stats:
-                    acc.sums[c] += float(trie.sums_arr[c][slot_arr].sum())
-        if len(fallback) >= 4:
-            self._combine_cells_vectorized(fallback, acc, cols)
-        else:
-            for cid in fallback:
-                self._combine_cell(int(cid), acc, cols)
-        return acc.finalize(specs)
+            slots, rest = self.agg_trie.lookup(cells, batch=batch)
+            plan = (slots, *self._ranges(rest, batch))
+        self.stats.record_many(cells)
+        return plan
 
     def size_bytes(self) -> int:
         extra = self.agg_trie.size_bytes() if self.agg_trie is not None else 0

@@ -40,6 +40,12 @@ class RawTable:
             self.keys.nbytes + sum(a.nbytes for a in self.columns.values())
         )
 
+    def values(self, cols, idx):
+        """Values at ``idx`` of the columns in ``cols`` (as returned by
+        ``needed_stats``), shaped for ``AggAccumulator.combine``: a raw
+        value is its own min, max and sum."""
+        return {c: dict.fromkeys(stats, self.columns[c][idx]) for c, stats in cols.items()}
+
     def cells_at(self, level: int) -> np.ndarray:
         """Cell id at ``level`` for every tuple (vectorized parent)."""
         return np.asarray(parent(self.keys, level), dtype=np.int64)

@@ -101,10 +101,11 @@ def _timed(fn) -> float:
 def run_cell_workload(engine, plans, specs, *, batch: bool = True) -> float:
     """Seconds to answer every query plan (cell-covering engines).
 
-    ``batch=False`` runs GeoBlocks query-at-a-time (the paper's per-cell
-    C++ cost structure) — used by the adaptive experiments, where the
-    V1/V2 difference lives in per-cell probe costs that batch execution
-    optimizes away for both engines; see EXPERIMENTS.md.
+    ``batch=False`` plans GeoBlocks queries one cell at a time (the
+    paper's per-cell C++ cost structure) — used by the adaptive
+    experiments, where the V1/V2 difference lives in per-cell probe
+    costs that batch planning optimizes away for both engines; see
+    EXPERIMENTS.md.
     """
     if batch:
         return _timed(lambda: [engine.query_cells(cells, specs) for cells in plans])

@@ -1,0 +1,88 @@
+"""Every execution path of a cell query returns one answer.
+
+V1 and V2, each in batch and query-at-a-time mode, must match the
+BinarySearch baseline on the same cells, and the specialized COUNT must
+equal the SELECT count. Cells finer than the block level hold no
+CellBlock of their own, so every path must reject them.
+"""
+import pytest
+
+from repro.baselines.binary_search import BinarySearchEngine
+from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
+from repro.core.raw import extract_and_reorganize
+from repro.s2lite.cell import cell_from_latlon, cell_level, children, parent
+from repro.synth_data import nyc_taxi_pandas
+from repro.workloads import DEFAULT_AGGS, VALUE_COLS, neighborhoods, skewed_workload
+
+TAXI = nyc_taxi_pandas(sf=0.005)
+RAW = extract_and_reorganize(TAXI, VALUE_COLS)
+LEVEL = 15
+V1 = GeoBlock.build_from_raw(RAW, level=LEVEL)
+BS = BinarySearchEngine(RAW, LEVEL)
+HOODS = neighborhoods()
+PLANS = [V1.cover(p) for p in HOODS]
+COUNT = ("passenger_count", "count")
+
+
+def trained_v2(threshold: float) -> AdaptiveGeoBlock:
+    """V2 after the base workload once and the skewed one x4."""
+    v2 = AdaptiveGeoBlock.from_block(V1)
+    pos = {id(p): i for i, p in enumerate(HOODS)}
+    skew = [PLANS[pos[id(p)]] for p in skewed_workload(HOODS, frac=0.1)]
+    for cells in PLANS + skew * 4:
+        v2.query_cells(cells, DEFAULT_AGGS)
+    v2.build_aggregate_trie(threshold)
+    return v2
+
+
+def assert_same(got, exp):
+    """Counts, minima and maxima exactly; sums up to float association."""
+    assert got.keys() == exp.keys()
+    for k, v in exp.items():
+        if v is None or k[1] != "sum":
+            assert got[k] == v, k
+        else:
+            assert got[k] == pytest.approx(v, rel=1e-9), k
+
+
+@pytest.mark.parametrize("threshold", [0.05, 1.0])
+def test_every_path_gives_one_answer(threshold):
+    v2 = trained_v2(threshold)
+    trie = v2.agg_trie
+    # A parent whose direct children, not itself, are cached.
+    only_kids = next(
+        parent(c, cell_level(c) - 1)
+        for c in trie.rows
+        if cell_level(c) > trie.root_level
+        and trie.get(parent(c, cell_level(c) - 1)) is None
+    )
+    assert any(trie.get(k) is not None for k in children(only_kids))
+    mid = int(V1.keys[len(V1.keys) // 2])
+    edge = [
+        [],
+        [cell_from_latlon(0.0, 0.0, LEVEL)],  # outside the block
+        [parent(mid, 10)],
+        [only_kids],
+    ]
+    for cells in PLANS + edge:
+        want = BS.query_cells(cells, DEFAULT_AGGS)
+        for engine in (V1, v2):
+            for batch in (True, False):
+                assert_same(engine.query_cells(cells, DEFAULT_AGGS, batch=batch), want)
+            assert engine.count_cells(cells) == want[COUNT]
+
+
+def test_cells_finer_than_block_level_rejected():
+    # The four children of a populated CellBlock: BinarySearch finds its
+    # tuples, so answering 0 would be silently wrong.
+    kids = children(int(V1.keys[len(V1.keys) // 2]))
+    assert BS.count_cells(kids) > 0
+    v2 = trained_v2(0.05)
+    for engine in (V1, v2):
+        for batch in (True, False):
+            with pytest.raises(ValueError):
+                engine.query_cells(kids, DEFAULT_AGGS, batch=batch)
+            with pytest.raises(ValueError):
+                engine.query_cells([int(V1.keys[0])] + kids[:1], DEFAULT_AGGS, batch=batch)
+        with pytest.raises(ValueError):
+            engine.count_cells(kids)

@@ -1,8 +1,8 @@
-"""Shared spark-submit session builder for the job entrypoints.
+"""Shared spark-submit session builder for the experiment entry point.
 
-Jobs are runnable both under ``spark-submit jobs/<name>.py`` and as
-plain ``python jobs/<name>.py`` (the driver-side experiments ignore the
-session entirely; only the distributed jobs actually use it).
+``jobs/run.py`` is runnable both under ``spark-submit jobs/run.py <name>``
+and as plain ``python jobs/run.py <name>`` (the driver-side experiments
+ignore the session entirely; only the distributed one uses it).
 """
 import os
 import sys
@@ -21,7 +21,3 @@ def get_spark(app_name: str):
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-
-
-def bench_sf() -> float:
-    return float(os.environ.get("REPRO_SF", "0.1"))

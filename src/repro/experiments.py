@@ -1,19 +1,19 @@
 """Experiment harness: one function per table/figure of the paper.
 
 Each function returns a list of row dicts (printable with
-:func:`print_table`) whose columns mirror what the paper reports; the
-``jobs/`` entrypoints and ``benchmarks/`` wrappers are thin shells over
-these. EXPERIMENTS.md records paper-vs-measured numbers.
+:func:`print_table`) whose columns mirror what the paper reports;
+``jobs/run.py <name>`` runs them and writes ``results/<name>.txt``.
+EXPERIMENTS.md records paper-vs-measured numbers.
 
 Methodology notes (deviations are documented in DESIGN.md section 4):
 
 - Engines are timed on the driver (the paper's engines are single-node
   C++; Spark job latency would drown µs-scale query differences). The
   distributed path has its own experiment (:func:`distributed_compare`).
-- Polygon coverings / interior rectangles are precomputed into "query
-  plans" shared by all engines, so measured time is pure engine
-  execution. The paper includes covering time in every engine equally;
-  excluding it sharpens the same comparison.
+- Polygon coverings are precomputed into "query plans" shared by all
+  cell engines, so measured time is pure engine execution (PHTree/RTree
+  get the interior rectangle). The paper includes covering time in every
+  engine equally; excluding it sharpens the same comparison.
 - The workload follows the paper: the *base* workload queries every
   neighborhood once; the *skewed* workload queries a fixed random 10%
   subset repeatedly; 7 aggregates touching every column.
@@ -64,7 +64,6 @@ class Setup:
     hoods: list
     skew: list
     plans: dict = field(default_factory=dict)  # level -> [cells per hood]
-    rects: list = field(default_factory=list)  # interior rect per hood
 
     def cover_all(self, level: int):
         if level not in self.plans:
@@ -88,14 +87,15 @@ def make_setup(sf: float = BENCH_SF, *, seed: int = 7) -> Setup:
         raw=raw,
         hoods=hoods,
         skew=skewed_workload(hoods, frac=SKEW_FRAC),
-        rects=[p.interior_rect() for p in hoods],
     )
 
 
-def _timed(fn) -> float:
+def _timed(fn, repeats: int = 1) -> float:
+    """Mean seconds per call of ``fn()`` over ``repeats`` calls."""
     t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    for _ in range(repeats):
+        fn()
+    return (time.perf_counter() - t0) / repeats
 
 
 def run_cell_workload(engine, plans, specs, *, batch: bool = True) -> float:
@@ -107,18 +107,17 @@ def run_cell_workload(engine, plans, specs, *, batch: bool = True) -> float:
     costs that batch planning optimizes away for both engines; see
     EXPERIMENTS.md.
     """
-    if batch:
-        return _timed(lambda: [engine.query_cells(cells, specs) for cells in plans])
-    return _timed(
-        lambda: [engine.query_cells(cells, specs, batch=False) for cells in plans]
+    kw = {} if batch else {"batch": False}  # the baselines take no ``batch``
+    return _timed(lambda: [engine.query_cells(cells, specs, **kw) for cells in plans])
+
+
+def _base_skew_ms(name: str, engine, plans, skew_plans) -> dict:
+    """Query-at-a-time ms of the base and the skewed workload (Figs. 9/10)."""
+    base, skew = (
+        run_cell_workload(engine, p, DEFAULT_AGGS, batch=False) * 1e3
+        for p in (plans, skew_plans)
     )
-
-
-def run_rect_workload(engine, rects, specs=None) -> float:
-    """Seconds to answer every rectangle plan (quadtree/R-tree engines)."""
-    if specs is None:  # count-only (RTree)
-        return _timed(lambda: [engine.count_rect(r) for r in rects])
-    return _timed(lambda: [engine.query_rect(r, specs) for r in rects])
+    return {f"{name}_base_ms": base, f"{name}_skew_ms": skew}
 
 
 def _train_v2(
@@ -136,19 +135,20 @@ def _train_v2(
     v2.build_aggregate_trie(threshold)
 
 
-def print_table(rows, *, title: str = "") -> None:
+def print_table(rows, *, title: str = "", file=None) -> None:
+    """Write ``rows`` as an aligned text table to ``file`` (stdout if None)."""
     if title:
-        print(f"\n== {title} ==")
+        print(f"== {title} ==", file=file)
     if not rows:
-        print("(no rows)")
+        print("(no rows)", file=file)
         return
     cols = list(rows[0])
     widths = {
         c: max(len(c), *(len(_fmt(r[c])) for r in rows)) for c in cols
     }
-    print("  ".join(c.ljust(widths[c]) for c in cols))
+    print("  ".join(c.ljust(widths[c]) for c in cols), file=file)
     for r in rows:
-        print("  ".join(_fmt(r[c]).ljust(widths[c]) for c in cols))
+        print("  ".join(_fmt(r[c]).ljust(widths[c]) for c in cols), file=file)
 
 
 def _fmt(v) -> str:
@@ -277,12 +277,13 @@ def fig6c_level_overhead(sf: float = BENCH_SF, levels=range(13, 22)) -> list:
     raw_bytes = s.raw.size_bytes()
     rows = []
     for level in levels:
-        t = _timed(lambda lv=level: GeoBlock.build_from_raw(s.raw, level=lv))
+        t0 = time.perf_counter()
         blk = GeoBlock.build_from_raw(s.raw, level=level)
+        build_s = time.perf_counter() - t0
         rows.append(
             {
                 "level": level,
-                "build_s": t,
+                "build_s": build_s,
                 "size_mib": blk.size_bytes() / 2**20,
                 "relative_overhead": blk.size_bytes() / raw_bytes,
             }
@@ -321,29 +322,22 @@ def fig7_selectivity(
     bt = BTreeEngine(s.raw, level)
     qt = QuadtreeEngine(s.raw)
     rt = RTreeEngine(s.raw)
+    # name -> one query on (covering, interior rectangle); RTree counts only.
+    calls = {
+        "BinarySearch": lambda cells, rect: bs.query_cells(cells, DEFAULT_AGGS),
+        "BTree": lambda cells, rect: bt.query_cells(cells, DEFAULT_AGGS),
+        "PHTree": lambda cells, rect: qt.query_rect(rect, DEFAULT_AGGS),
+        "RTree": lambda cells, rect: rt.count_rect(rect),
+        "BlocksV1": lambda cells, rect: v1.query_cells(cells, DEFAULT_AGGS),
+        "BlocksV2": lambda cells, rect: v2.query_cells(cells, DEFAULT_AGGS),
+    }
 
     rows = []
     for f in fractions:
         cells, rect = plans[f], rects[f]
         row = {"selectivity": f, "n_cover_cells": len(cells)}
-        row["BinarySearch_ms"] = _timed(
-            lambda: [bs.query_cells(cells, DEFAULT_AGGS) for _ in range(repeats)]
-        ) / repeats * 1e3
-        row["BTree_ms"] = _timed(
-            lambda: [bt.query_cells(cells, DEFAULT_AGGS) for _ in range(repeats)]
-        ) / repeats * 1e3
-        row["PHTree_ms"] = _timed(
-            lambda: [qt.query_rect(rect, DEFAULT_AGGS) for _ in range(repeats)]
-        ) / repeats * 1e3
-        row["RTree_ms"] = _timed(
-            lambda: [rt.count_rect(rect) for _ in range(repeats)]
-        ) / repeats * 1e3
-        row["BlocksV1_ms"] = _timed(
-            lambda: [v1.query_cells(cells, DEFAULT_AGGS) for _ in range(repeats)]
-        ) / repeats * 1e3
-        row["BlocksV2_ms"] = _timed(
-            lambda: [v2.query_cells(cells, DEFAULT_AGGS) for _ in range(repeats)]
-        ) / repeats * 1e3
+        for name, call in calls.items():
+            row[f"{name}_ms"] = _timed(lambda: call(cells, rect), repeats) * 1e3
         rows.append(row)
     return rows
 
@@ -399,16 +393,13 @@ def fig9_skew(
     for reps in skew_reps:
         v2 = AdaptiveGeoBlock.from_block(v1)
         _train_v2(v2, plans, skew_plans, reps, threshold)
-        row = {"skew_reps": reps}
-        row["V1_base_ms"] = run_cell_workload(v1, plans, DEFAULT_AGGS, batch=False) * 1e3
-        row["V1_skew_ms"] = (
-            run_cell_workload(v1, skew_plans * reps, DEFAULT_AGGS, batch=False) * 1e3
+        rows.append(
+            {
+                "skew_reps": reps,
+                **_base_skew_ms("V1", v1, plans, skew_plans * reps),
+                **_base_skew_ms("V2", v2, plans, skew_plans * reps),
+            }
         )
-        row["V2_base_ms"] = run_cell_workload(v2, plans, DEFAULT_AGGS, batch=False) * 1e3
-        row["V2_skew_ms"] = (
-            run_cell_workload(v2, skew_plans * reps, DEFAULT_AGGS, batch=False) * 1e3
-        )
-        rows.append(row)
     return rows
 
 
@@ -429,8 +420,7 @@ def fig10_threshold(
     plans = s.cover_all(level)
     skew_plans = [plans[i] for i in s.skew_indices()]
     v1 = GeoBlock.build_from_raw(s.raw, level=level)
-    v1_base = run_cell_workload(v1, plans, DEFAULT_AGGS, batch=False) * 1e3
-    v1_skew = run_cell_workload(v1, skew_plans * skew_reps, DEFAULT_AGGS, batch=False) * 1e3
+    v1_ms = _base_skew_ms("V1", v1, plans, skew_plans * skew_reps)
     rows = []
     for thr in thresholds:
         v2 = AdaptiveGeoBlock.from_block(v1)
@@ -438,15 +428,9 @@ def fig10_threshold(
         rows.append(
             {
                 "threshold": thr,
-                "cached_cells": len(v2.agg_trie.rows),
-                "V1_base_ms": v1_base,
-                "V1_skew_ms": v1_skew,
-                "V2_base_ms": run_cell_workload(v2, plans, DEFAULT_AGGS, batch=False)
-                * 1e3,
-                "V2_skew_ms": run_cell_workload(
-                    v2, skew_plans * skew_reps, DEFAULT_AGGS, batch=False
-                )
-                * 1e3,
+                "cached_cells": len(v2.agg_trie),
+                **v1_ms,
+                **_base_skew_ms("V2", v2, plans, skew_plans * skew_reps),
             }
         )
     return rows

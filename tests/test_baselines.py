@@ -176,15 +176,35 @@ def test_quadtree_rejects_empty():
         PointQuadtree(np.empty(0), np.empty(0))
 
 
-def test_quadtree_leaf_capacity():
-    def walk(node):
-        if node.children is None:
-            assert node.hi - node.lo <= 64 or True  # max_depth may override
-            return 1
-        return sum(walk(c) for c in node.children)
+def _check_quadtree(tree, max_depth):
+    """Every node is counted, leaves tile ``[0, n)`` in order, and a leaf
+    exceeds ``leaf_cap`` only at ``max_depth``. Returns the leaves."""
+    leaves = []
 
-    assert walk(QT.tree.root) == QT.tree.n_nodes - (QT.tree.n_nodes - 1) or True
+    def walk(node, depth):
+        if node.children is None:
+            leaves.append((node.lo, node.hi, depth))
+            return 1
+        return 1 + sum(walk(c, depth + 1) for c in node.children)
+
+    assert walk(tree.root, 0) == tree.n_nodes
+    assert leaves[0][0] == 0 and leaves[-1][1] == len(tree.lons)
+    assert all(lo < hi for lo, hi, _ in leaves)
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    for lo, hi, depth in leaves:
+        assert hi - lo <= tree.leaf_cap or depth == max_depth
+    return leaves
+
+
+def test_quadtree_leaf_capacity():
+    _check_quadtree(QT.tree, max_depth=20)
     assert QT.tree.n_nodes > 10
+
+
+def test_quadtree_max_depth_overrides_leaf_capacity():
+    tree = PointQuadtree(RAW.lons, RAW.lats, leaf_cap=64, max_depth=3)
+    leaves = _check_quadtree(tree, max_depth=3)
+    assert any(hi - lo > tree.leaf_cap for lo, hi, _ in leaves)
 
 
 # -- R-tree (aR-tree emulation) -------------------------------------------

@@ -1,11 +1,28 @@
 """Smoke tests for the experiment harness at tiny scale — every
-table/figure function must produce well-formed rows, so the jobs/ and
-benchmarks/ entrypoints cannot bitrot silently."""
+table/figure function must produce well-formed rows and be reachable
+from ``jobs/run.py``, the one entry point that writes ``results/``."""
+import importlib.util
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import experiments as ex
 
 SF = 0.002  # ~24k rides: shapes are meaningless here, structure is not
+RUN_PY = Path(__file__).resolve().parents[1] / "jobs" / "run.py"
+HELPERS = {"make_setup", "run_cell_workload", "print_table"}
+
+
+@pytest.fixture
+def run_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(RUN_PY.parent))  # for ``_session``
+    spec = importlib.util.spec_from_file_location("run", RUN_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_table1_rows():
@@ -88,3 +105,39 @@ def test_print_table_smoke(capsys):
 def test_print_table_empty(capsys):
     ex.print_table([])
     assert "(no rows)" in capsys.readouterr().out
+
+
+def test_every_experiment_has_an_entry_point(run_module):
+    experiments = {
+        fn
+        for name, fn in inspect.getmembers(ex, inspect.isfunction)
+        if fn.__module__ == ex.__name__ and not name.startswith("_") and name not in HELPERS
+    }
+    assert len(experiments) == 10
+    assert {fn for fn, _ in run_module.EXPERIMENTS.values()} == experiments
+
+
+def test_entry_point_writes_results(run_module, tmp_path):
+    names = ["table1_build_times", "fig6b_size_overhead"]
+    subprocess.run(
+        [sys.executable, str(RUN_PY), *names, "--sf", "0.002"],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+        timeout=300,
+    )
+    headers = {"table1_build_times": "level", "fig6b_size_overhead": "algorithm"}
+    assert {p.name for p in (tmp_path / "results").iterdir()} == {f"{n}.txt" for n in names}
+    for name in names:
+        lines = (tmp_path / "results" / f"{name}.txt").read_text().splitlines()
+        assert lines[0] == f"== {run_module.EXPERIMENTS[name][1]} =="
+        assert lines[1].split()[0] == headers[name]
+        assert len(lines) > 2
+
+
+def test_entry_point_rejects_unknown_name(run_module, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_module.main(["fig99_nope"])
+    assert exc.value.code != 0
+    assert not (tmp_path / "results").exists()

@@ -2,12 +2,18 @@
 
 ``jobs/run.py`` is runnable both under ``spark-submit jobs/run.py <name>``
 and as plain ``python jobs/run.py <name>`` (the driver-side experiments
-ignore the session entirely; only the distributed one uses it).
+ignore the session entirely; only the distributed one uses it). Importing
+this module puts ``src/`` on the path of this interpreter and, through
+``PYTHONPATH``, of the Spark Python workers started after it.
 """
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, _SRC)
+# Spark's Python workers import ``repro`` too. They are separate processes
+# that inherit the environment, not this interpreter's sys.path.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def get_spark(app_name: str):

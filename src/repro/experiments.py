@@ -348,12 +348,15 @@ def fig7_selectivity(
 
 def fig8_level_error(sf: float = BENCH_SF, levels=range(13, 22)) -> list:
     """Mean relative COUNT error of the base workload vs block level,
-    plus base-workload runtime (V1)."""
+    plus the base workload's covering time and runtime (V1); their sum is
+    its end-to-end latency."""
     s = make_setup(sf)
     exact = [int(exact_mask(s.taxi, p).sum()) for p in s.hoods]
     rows = []
     for level in levels:
+        t0 = time.perf_counter()
         plans = s.cover_all(level)
+        cover_s = time.perf_counter() - t0
         blk = GeoBlock.build_from_raw(s.raw, level=level)
         errs = [
             relative_count_error(blk.count_cells(cells), ex)
@@ -366,6 +369,7 @@ def fig8_level_error(sf: float = BENCH_SF, levels=range(13, 22)) -> list:
                 "level": level,
                 "cell_diag_m": cell_diag_meters(level),
                 "mean_rel_error": float(np.mean(errs)),
+                "cover_ms": cover_s * 1e3,
                 "runtime_ms": runtime * 1e3,
             }
         )

@@ -1,4 +1,4 @@
-"""Polygon -> cell coverings by recursive quadtree descent.
+"""Polygon -> cell coverings by a level-by-level quadtree descent.
 
 This is the only approximation step in the whole GeoBlocks pipeline: the
 query polygon is replaced by a set of grid cells, and the paper's error
@@ -14,17 +14,24 @@ inside the polygon is emitted as soon as it is at least ``min_level``
 deep, which is what keeps covering sizes proportional to the polygon
 *perimeter* (interior is covered by coarse cells) rather than its area.
 """
-from repro.s2lite.cell import MAX_LEVEL, cell_id_from_quad
+import numpy as np
+
+from repro.s2lite.cell import MAX_LEVEL, cell_id_from_quad, parent
 from repro.s2lite.polygon import Polygon, Rect
 
-__all__ = ["exterior_covering", "interior_covering", "quad_rect"]
+__all__ = ["exterior_covering", "interior_covering", "quad_bounds"]
+
+# Child offsets: children of (x, y) are (2x + dx, 2y + dy).
+_DX = np.array([0, 0, 1, 1], dtype=np.int64)
+_DY = np.array([0, 1, 0, 1], dtype=np.int64)
 
 
-def quad_rect(x: int, y: int, level: int) -> Rect:
-    """Lon/lat rectangle of the quadtree cell ``(x, y)`` at ``level``."""
+def quad_bounds(x, y, level: int):
+    """``(lon_lo, lat_lo, lon_hi, lat_hi)`` of the quadtree cell(s) ``(x, y)``
+    at ``level``; ``x``/``y`` may be ints or int arrays."""
     n = 1 << level
     w_lon, w_lat = 360.0 / n, 180.0 / n
-    return Rect(
+    return (
         -180.0 + x * w_lon,
         -90.0 + y * w_lat,
         -180.0 + (x + 1) * w_lon,
@@ -32,59 +39,76 @@ def quad_rect(x: int, y: int, level: int) -> Rect:
     )
 
 
+def _grid_span(lo: float, hi: float, origin: int, extent: int):
+    """Finest-level columns ``(c_lo, c_hi)`` bounding the closed interval
+    ``[lo, hi]`` on an axis that starts at ``-origin`` and is ``extent``
+    degrees wide: ``c_lo`` is the last column starting at or before ``lo``,
+    ``c_hi`` the first ending at or after ``hi``.
+
+    Exact: a float is a ratio of integers, and every cell boundary
+    :func:`quad_bounds` computes is exact in floating point, so these
+    columns decide containment exactly as comparing the bounds does.
+    """
+    n, d = float(lo).as_integer_ratio()
+    c_lo = ((n + origin * d) << MAX_LEVEL) // (extent * d)
+    n, d = float(hi).as_integer_ratio()
+    c_hi = -((-(n + origin * d) << MAX_LEVEL) // (extent * d)) - 1
+    return c_lo, c_hi
+
+
 def _root_quad(bbox: Rect, max_level: int):
     """Deepest single quadtree cell containing ``bbox``, capped at
     ``max_level`` — the descent start (equivalent to the paper's trie
-    pruning to a covering root)."""
-    x = y = 0
-    level = 0
-    while level < min(MAX_LEVEL, max_level):
-        advanced = False
-        for dx in (0, 1):
-            for dy in (0, 1):
-                cx, cy = 2 * x + dx, 2 * y + dy
-                r = quad_rect(cx, cy, level + 1)
-                if (
-                    r.lon_lo <= bbox.lon_lo
-                    and r.lon_hi >= bbox.lon_hi
-                    and r.lat_lo <= bbox.lat_lo
-                    and r.lat_hi >= bbox.lat_hi
-                ):
-                    x, y, level = cx, cy, level + 1
-                    advanced = True
-                    break
-            if advanced:
-                break
-        if not advanced:
+    pruning to a covering root). Where two children contain a degenerate
+    bbox, the lower one is taken."""
+    x_lo, x_hi = _grid_span(bbox.lon_lo, bbox.lon_hi, 180, 360)
+    y_lo, y_hi = _grid_span(bbox.lat_lo, bbox.lat_hi, 90, 180)
+    x = y = level = 0
+    while level < max_level:
+        k = MAX_LEVEL - level - 1
+        # Lowest child ending at or after the bbox's high edge; it contains
+        # the bbox iff it is a child and starts at or before the low edge.
+        cx, cy = max(x_hi >> k, 2 * x), max(y_hi >> k, 2 * y)
+        if cx > 2 * x + 1 or cy > 2 * y + 1 or cx << k > x_lo or cy << k > y_lo:
             break
+        x, y, level = cx, cy, level + 1
     return x, y, level
 
 
 def _cover(poly: Polygon, max_level: int, min_level: int, interior: bool):
+    """Level-synchronous quadtree descent: each level's frontier is
+    classified in one :meth:`Polygon.classify_rects` call; cells inside the
+    polygon (at ``min_level`` or finer) are emitted, cells at ``max_level``
+    too (exterior only), and the remaining intersecting cells split into
+    their 4 children."""
     if not 0 <= max_level <= MAX_LEVEL:
         raise ValueError(f"max_level {max_level} out of range")
     if min_level > max_level:
         raise ValueError("min_level must be <= max_level")
-    out = []
-    x0, y0, l0 = _root_quad(poly.bbox, max_level)
-    stack = [(x0, y0, l0)]
-    while stack:
-        x, y, level = stack.pop()
-        rect = quad_rect(x, y, level)
-        if not poly.intersects_rect(rect):
-            continue
-        if level >= min_level and poly.contains_rect(rect):
-            out.append(cell_id_from_quad(x, y, level))
-            continue
-        if level >= max_level:
-            if not interior:
-                out.append(cell_id_from_quad(x, y, level))
-            continue
-        for dx in (0, 1):
-            for dy in (0, 1):
-                stack.append((2 * x + dx, 2 * y + dy, level + 1))
-    out.sort()
-    return out
+    x, y, level = _root_quad(poly.bbox, max_level)
+    xs = np.array([x], dtype=np.int64)
+    ys = np.array([y], dtype=np.int64)
+    found = []  # (xs, ys, level) of the cells emitted at each level
+    while xs.size:
+        hit, inside = poly.classify_rects(*quad_bounds(xs, ys, level))
+        done = hit & inside if level >= min_level else np.zeros_like(hit)
+        if level == max_level:
+            keep = done if interior else hit
+            found.append((xs[keep], ys[keep], level))
+            break
+        found.append((xs[done], ys[done], level))
+        split = hit & ~done
+        xs = ((2 * xs[split])[:, None] + _DX).ravel()
+        ys = ((2 * ys[split])[:, None] + _DY).ravel()
+        level += 1
+    # Encode once: lift every cell to its lower-left max_level descendant,
+    # take its id, then the ancestor at the cell's own level (Hilbert indices
+    # are hierarchical, see repro.s2lite.hilbert).
+    levels = np.concatenate([np.full(len(fx), lv, dtype=np.int64) for fx, _, lv in found])
+    lift = max_level - levels
+    xs = np.concatenate([fx for fx, _, _ in found]) << lift
+    ys = np.concatenate([fy for _, fy, _ in found]) << lift
+    return np.sort(parent(cell_id_from_quad(xs, ys, max_level), levels)).tolist()
 
 
 def exterior_covering(poly: Polygon, max_level: int, min_level: int = 0):

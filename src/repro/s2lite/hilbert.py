@@ -29,11 +29,14 @@ def xy2d(order: int, x, y):
     """
     if order > 31:
         raise ValueError(f"order {order} does not fit a signed 64-bit index")
+    # One copy suffices: the loop rebinds x and y and never writes to
+    # them. Dropping this one too leaves the same live data but a different
+    # allocation order, which raised the repo benchmark's peak RSS on
+    # cells_skewed by ~16% (333 -> 386 MiB at SF 0.1).
     x = np.asarray(x, dtype=np.int64).copy()
     y = np.asarray(y, dtype=np.int64).copy()
     d = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
     x, y = np.broadcast_arrays(x, y)
-    x, y = x.copy(), y.copy()
     s = np.int64(1) << (order - 1)
     while s > 0:
         rx = ((x & s) > 0).astype(np.int64)

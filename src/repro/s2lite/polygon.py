@@ -64,48 +64,35 @@ class Rect:
         return self.lat_hi - self.lat_lo
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """Proper-or-touching intersection of segments ``p1p2`` and ``q1q2``."""
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(p1, p2, q1):
-        return True
-    if o2 == 0 and on_seg(p1, p2, q2):
-        return True
-    if o3 == 0 and on_seg(q1, q2, p1):
-        return True
-    if o4 == 0 and on_seg(q1, q2, p2):
-        return True
-    return False
+def _orient(ax, ay, bx, by, cx, cy):
+    """Sign (-1, 0, 1) of the cross product ``(b - a) x (c - a)``, elementwise."""
+    return np.sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
-def _segment_intersects_rect(p1, p2, rect: Rect) -> bool:
-    """True iff segment ``p1p2`` touches rectangle ``rect`` anywhere."""
-    if rect.contains_point(*p1) or rect.contains_point(*p2):
-        return True
-    # Segment bbox reject.
-    if (
-        max(p1[0], p2[0]) < rect.lon_lo
-        or min(p1[0], p2[0]) > rect.lon_hi
-        or max(p1[1], p2[1]) < rect.lat_lo
-        or min(p1[1], p2[1]) > rect.lat_hi
-    ):
-        return False
-    c = rect.corners()
-    return any(_segments_intersect(p1, p2, c[i], c[(i + 1) % 4]) for i in range(4))
+def _on_seg(ax, ay, bx, by, cx, cy):
+    """Whether ``c`` lies in the closed bbox of segment ``ab``, elementwise."""
+    return (
+        (np.minimum(ax, bx) <= cx)
+        & (cx <= np.maximum(ax, bx))
+        & (np.minimum(ay, by) <= cy)
+        & (cy <= np.maximum(ay, by))
+    )
+
+
+def _segments_intersect(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """Proper-or-touching intersection of segments ``p1p2`` and ``q1q2``,
+    elementwise over broadcast coordinate arrays."""
+    o1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
+    o2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
+    o3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
+    o4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
+    return (
+        ((o1 != o2) & (o3 != o4))
+        | ((o1 == 0) & _on_seg(p1x, p1y, p2x, p2y, q1x, q1y))
+        | ((o2 == 0) & _on_seg(p1x, p1y, p2x, p2y, q2x, q2y))
+        | ((o3 == 0) & _on_seg(q1x, q1y, q2x, q2y, p1x, p1y))
+        | ((o4 == 0) & _on_seg(q1x, q1y, q2x, q2y, p2x, p2y))
+    )
 
 
 class Polygon:
@@ -121,6 +108,18 @@ class Polygon:
         self.vertices = v
         self._lons = v[:, 0]
         self._lats = v[:, 1]
+        # Edge i runs from vertex i to vertex i + 1.
+        x1, y1 = self._lons, self._lats
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        # The edges a horizontal ray can cross (ray casting skips the rest).
+        self._ray_edges = [e for e in zip(x1, y1, x2, y2) if e[1] != e[3]]
+        # Edge endpoints and bboxes as columns, to broadcast against a row
+        # of rects.
+        self._edges = tuple(a[:, None] for a in (x1, y1, x2, y2))
+        self._edge_bbox = tuple(
+            a[:, None]
+            for a in (np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2))
+        )
         self.bbox = Rect(
             float(self._lons.min()),
             float(self._lats.min()),
@@ -140,13 +139,8 @@ class Polygon:
         """
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        x1, y1 = self._lons, self._lats
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
         inside = np.zeros(lons.shape, dtype=bool)
-        for i in range(len(x1)):
-            xa, ya, xb, yb = x1[i], y1[i], x2[i], y2[i]
-            if ya == yb:
-                continue
+        for xa, ya, xb, yb in self._ray_edges:
             crosses = ((ya > lats) != (yb > lats)) & (
                 lons < (xb - xa) * (lats - ya) / (yb - ya) + xa
             )
@@ -157,42 +151,70 @@ class Polygon:
         return bool(self.contains_points(np.array([lon]), np.array([lat]))[0])
 
     # -- rectangle predicates --------------------------------------------
+    def classify_rects(self, lon_lo, lat_lo, lon_hi, lat_hi):
+        """``(intersects, contains)`` boolean arrays for many closed rects,
+        given as 1-D arrays of their bounds.
+
+        ``intersects[j]``: the polygon's interior/boundary touches rect
+        ``j``. ``contains[j]``: rect ``j`` lies entirely inside the polygon
+        (for a simple polygon: all corners inside and no edge touching the
+        rect). The covering descent classifies a whole quadtree level per
+        call; the one-rect predicates below are the same call.
+        """
+        lon_lo, lat_lo, lon_hi, lat_hi = (
+            np.asarray(a, dtype=np.float64) for a in (lon_lo, lat_lo, lon_hi, lat_hi)
+        )
+        b = self.bbox
+        in_bbox = ~(
+            (lon_lo > b.lon_hi) | (lon_hi < b.lon_lo) | (lat_lo > b.lat_hi) | (lat_hi < b.lat_lo)
+        )
+        corners_in = self.contains_points(
+            np.concatenate([lon_lo, lon_hi, lon_hi, lon_lo]),
+            np.concatenate([lat_lo, lat_lo, lat_hi, lat_hi]),
+        ).reshape(4, -1)
+        touched = self._edges_touch(lon_lo, lat_lo, lon_hi, lat_hi)
+        return in_bbox & (corners_in.any(axis=0) | touched), corners_in.all(axis=0) & ~touched
+
+    def _edges_touch(self, lon_lo, lat_lo, lon_hi, lat_hi):
+        """Per rect: does any polygon edge touch it anywhere?
+
+        An edge touches a rect if an endpoint lies in it, or if the edge's
+        bbox meets the rect and the edge intersects one of its 4 sides.
+        Every endpoint is some vertex, so the endpoint test is one
+        vertex-in-rect test; the side tests run only on the (edge, rect)
+        pairs that pass the bbox reject, for rects no vertex touches.
+        """
+        x1, y1, x2, y2 = self._edges
+        touched = (
+            (lon_lo <= x1) & (x1 <= lon_hi) & (lat_lo <= y1) & (y1 <= lat_hi)
+        ).any(axis=0)
+        ex_lo, ey_lo, ex_hi, ey_hi = self._edge_bbox
+        near = ~(
+            (ex_hi < lon_lo) | (ex_lo > lon_hi) | (ey_hi < lat_lo) | (ey_lo > lat_hi) | touched
+        )
+        e, r = np.nonzero(near)
+        if e.size:
+            # Rect corners c0..c3 = (lo, lo), (hi, lo), (hi, hi), (lo, hi);
+            # side k runs from c_k to c_(k+1) mod 4.
+            xl, yl, xh, yh = lon_lo[r], lat_lo[r], lon_hi[r], lat_hi[r]
+            crosses = _segments_intersect(
+                x1[e, 0], y1[e, 0], x2[e, 0], y2[e, 0],
+                np.stack([xl, xh, xh, xl]), np.stack([yl, yl, yh, yh]),
+                np.stack([xh, xh, xl, xl]), np.stack([yl, yh, yh, yl]),
+            ).any(axis=0)
+            touched[r[crosses]] = True
+        return touched
+
+    def _classify_rect(self, rect: Rect):
+        return self.classify_rects([rect.lon_lo], [rect.lat_lo], [rect.lon_hi], [rect.lat_hi])
+
     def intersects_rect(self, rect: Rect) -> bool:
         """True iff the polygon's interior/boundary touches ``rect``."""
-        if not self.bbox.intersects(rect):
-            return False
-        # Any rect corner inside the polygon.
-        cx = np.array([c[0] for c in rect.corners()])
-        cy = np.array([c[1] for c in rect.corners()])
-        if self.contains_points(cx, cy).any():
-            return True
-        # Any polygon vertex inside the rect.
-        if rect.contains_points(self._lons, self._lats).any():
-            return True
-        # Any edge crossing the rect.
-        n = len(self.vertices)
-        for i in range(n):
-            p1 = (self._lons[i], self._lats[i])
-            p2 = (self._lons[(i + 1) % n], self._lats[(i + 1) % n])
-            if _segment_intersects_rect(p1, p2, rect):
-                return True
-        return False
+        return bool(self._classify_rect(rect)[0][0])
 
     def contains_rect(self, rect: Rect) -> bool:
         """True iff ``rect`` lies entirely inside the polygon."""
-        cx = np.array([c[0] for c in rect.corners()])
-        cy = np.array([c[1] for c in rect.corners()])
-        if not self.contains_points(cx, cy).all():
-            return False
-        # For a simple polygon, all corners inside + no boundary crossing
-        # implies full containment.
-        n = len(self.vertices)
-        for i in range(n):
-            p1 = (self._lons[i], self._lats[i])
-            p2 = (self._lons[(i + 1) % n], self._lats[(i + 1) % n])
-            if _segment_intersects_rect(p1, p2, rect):
-                return False
-        return True
+        return bool(self._classify_rect(rect)[1][0])
 
     # -- derived geometry -------------------------------------------------
     def area(self) -> float:

@@ -3,14 +3,27 @@
 The covering is GeoBlocks' only lossy step; these tests pin down the
 paper's invariants: exterior coverings are supersets (false positives
 only), interior coverings are subsets, levels respect the configured
-bounds, and finer max levels shrink the spatial slack.
+bounds, and finer max levels shrink the spatial slack. The vectorized
+descent must also return exactly the cells of the cell-at-a-time
+reference descent frozen below, on real, generated and edge-case rings.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.s2lite.cell import cell_bounds, cell_level, range_max, range_min
-from repro.s2lite.covering import exterior_covering, interior_covering, quad_rect
-from repro.s2lite.polygon import Polygon
+from repro.s2lite.cell import (
+    MAX_LEVEL,
+    cell_bounds,
+    cell_id_from_quad,
+    cell_level,
+    range_max,
+    range_min,
+)
+from repro.s2lite.covering import _root_quad, exterior_covering, interior_covering, quad_bounds
+from repro.s2lite.polygon import Polygon, Rect
+from repro.synth_data import NYC_BBOX, nyc_taxi_pandas
+from repro.workloads import neighborhoods, selectivity_suite
 
 # A quadrilateral roughly the size of a NYC neighbourhood, in Manhattan.
 HOOD = Polygon(
@@ -128,12 +141,15 @@ def test_covering_uses_coarse_cells_inside():
 
 
 def test_quad_rect_tiles_parent():
-    r = quad_rect(3, 5, 4)
-    kids = [quad_rect(6 + dx, 10 + dy, 5) for dx in (0, 1) for dy in (0, 1)]
+    r = Rect(*quad_bounds(3, 5, 4))
+    kids = [Rect(*quad_bounds(6 + dx, 10 + dy, 5)) for dx in (0, 1) for dy in (0, 1)]
     assert min(k.lon_lo for k in kids) == r.lon_lo
     assert max(k.lon_hi for k in kids) == r.lon_hi
     assert min(k.lat_lo for k in kids) == r.lat_lo
     assert max(k.lat_hi for k in kids) == r.lat_hi
+    # The array form gives the same bounds for every child at once.
+    xs, ys = np.array([6, 6, 7, 7]), np.array([10, 11, 10, 11])
+    assert [Rect(*b) for b in zip(*quad_bounds(xs, ys, 5))] == kids
 
 
 def test_min_level_zero_allows_whole_polygon_cell():
@@ -146,3 +162,308 @@ def test_min_level_zero_allows_whole_polygon_cell():
     assert len(cells) >= 1
     lvls = [cell_level(c) for c in cells]
     assert max(lvls) <= 20
+
+
+# -- frozen reference ------------------------------------------------------
+# The scalar cell-at-a-time descent and its predicates as they were before
+# the level-by-level vectorized descent replaced them, kept verbatim (only
+# made free functions) so the new covering can be checked cell for cell.
+
+
+def _ref_contains_points(poly, lons, lats):
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    x1, y1 = poly.vertices[:, 0], poly.vertices[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    inside = np.zeros(lons.shape, dtype=bool)
+    for i in range(len(x1)):
+        xa, ya, xb, yb = x1[i], y1[i], x2[i], y2[i]
+        if ya == yb:
+            continue
+        crosses = ((ya > lats) != (yb > lats)) & (
+            lons < (xb - xa) * (lats - ya) / (yb - ya) + xa
+        )
+        inside ^= crosses
+    return inside
+
+
+def _ref_segments_intersect(p1, p2, q1, q2) -> bool:
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if v == 0 else (1 if v > 0 else -1)
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_seg(p1, p2, q1):
+        return True
+    if o2 == 0 and on_seg(p1, p2, q2):
+        return True
+    if o3 == 0 and on_seg(q1, q2, p1):
+        return True
+    if o4 == 0 and on_seg(q1, q2, p2):
+        return True
+    return False
+
+
+def _ref_segment_intersects_rect(p1, p2, rect) -> bool:
+    if rect.contains_point(*p1) or rect.contains_point(*p2):
+        return True
+    if (
+        max(p1[0], p2[0]) < rect.lon_lo
+        or min(p1[0], p2[0]) > rect.lon_hi
+        or max(p1[1], p2[1]) < rect.lat_lo
+        or min(p1[1], p2[1]) > rect.lat_hi
+    ):
+        return False
+    c = rect.corners()
+    return any(_ref_segments_intersect(p1, p2, c[i], c[(i + 1) % 4]) for i in range(4))
+
+
+def _ref_edges(poly):
+    lons, lats = poly.vertices[:, 0], poly.vertices[:, 1]
+    n = len(lons)
+    for i in range(n):
+        yield (lons[i], lats[i]), (lons[(i + 1) % n], lats[(i + 1) % n])
+
+
+def _ref_intersects_rect(poly, rect) -> bool:
+    if not poly.bbox.intersects(rect):
+        return False
+    cx = np.array([c[0] for c in rect.corners()])
+    cy = np.array([c[1] for c in rect.corners()])
+    if _ref_contains_points(poly, cx, cy).any():
+        return True
+    if rect.contains_points(poly.vertices[:, 0], poly.vertices[:, 1]).any():
+        return True
+    return any(_ref_segment_intersects_rect(p1, p2, rect) for p1, p2 in _ref_edges(poly))
+
+
+def _ref_contains_rect(poly, rect) -> bool:
+    cx = np.array([c[0] for c in rect.corners()])
+    cy = np.array([c[1] for c in rect.corners()])
+    if not _ref_contains_points(poly, cx, cy).all():
+        return False
+    return not any(_ref_segment_intersects_rect(p1, p2, rect) for p1, p2 in _ref_edges(poly))
+
+
+def _ref_quad_rect(x, y, level):
+    n = 1 << level
+    w_lon, w_lat = 360.0 / n, 180.0 / n
+    return Rect(
+        -180.0 + x * w_lon,
+        -90.0 + y * w_lat,
+        -180.0 + (x + 1) * w_lon,
+        -90.0 + (y + 1) * w_lat,
+    )
+
+
+def _ref_root_quad(bbox, max_level):
+    x = y = 0
+    level = 0
+    while level < min(MAX_LEVEL, max_level):
+        advanced = False
+        for dx in (0, 1):
+            for dy in (0, 1):
+                cx, cy = 2 * x + dx, 2 * y + dy
+                r = _ref_quad_rect(cx, cy, level + 1)
+                if (
+                    r.lon_lo <= bbox.lon_lo
+                    and r.lon_hi >= bbox.lon_hi
+                    and r.lat_lo <= bbox.lat_lo
+                    and r.lat_hi >= bbox.lat_hi
+                ):
+                    x, y, level = cx, cy, level + 1
+                    advanced = True
+                    break
+            if advanced:
+                break
+        if not advanced:
+            break
+    return x, y, level
+
+
+def _ref_cover(poly, max_level, min_level=0, interior=False):
+    out = []
+    x0, y0, l0 = _ref_root_quad(poly.bbox, max_level)
+    stack = [(x0, y0, l0)]
+    while stack:
+        x, y, level = stack.pop()
+        rect = _ref_quad_rect(x, y, level)
+        if not _ref_intersects_rect(poly, rect):
+            continue
+        if level >= min_level and _ref_contains_rect(poly, rect):
+            out.append(cell_id_from_quad(x, y, level))
+            continue
+        if level >= max_level:
+            if not interior:
+                out.append(cell_id_from_quad(x, y, level))
+            continue
+        for dx in (0, 1):
+            for dy in (0, 1):
+                stack.append((2 * x + dx, 2 * y + dy, level + 1))
+    out.sort()
+    return out
+
+
+# -- the vectorized descent against the reference --------------------------
+
+
+def assert_matches_reference(poly, level, min_level=0):
+    assert exterior_covering(poly, level, min_level) == _ref_cover(poly, level, min_level)
+    assert interior_covering(poly, level, min_level) == _ref_cover(
+        poly, level, min_level, interior=True
+    )
+
+
+# The reference spends ~1 ms per emitted cell, so finer levels check every
+# stride-th polygon; levels 19 and 21 take them from the first 80 (the
+# small Manhattan quads).
+_STRIDE = {13: 2, 15: 8, 17: 32, 19: 40, 21: 80}
+
+
+@pytest.mark.parametrize("seed", [11, 5, 2024])
+@pytest.mark.parametrize("level", sorted(_STRIDE))
+def test_neighborhood_coverings_match_reference(seed, level):
+    hoods = neighborhoods(seed=seed)
+    if level >= 19:
+        hoods = hoods[:80]
+    stride = _STRIDE[level]
+    for poly in hoods[seed % stride :: stride]:
+        for min_level in (0, 12):
+            assert_matches_reference(poly, level, min_level)
+
+
+SELECTIVITY = selectivity_suite(nyc_taxi_pandas(sf=0.005))
+
+
+@pytest.mark.parametrize("level,min_levels", [(13, (0, 12)), (17, (0, 12)), (19, (12,)), (21, (12,))])
+def test_selectivity_coverings_match_reference(level, min_levels):
+    for poly in SELECTIVITY.values():
+        for min_level in min_levels:
+            assert_matches_reference(poly, level, min_level)
+
+
+@st.composite
+def nyc_rings(draw):
+    """Jittered convex (points on an ellipse) or star (jittered radii)
+    rings inside the NYC bbox; vertices sorted by angle keep them simple."""
+    lon_lo, lat_lo, lon_hi, lat_hi = NYC_BBOX
+    r = draw(st.floats(1e-4, 0.03))
+    lon = draw(st.floats(lon_lo + r, lon_hi - r))
+    lat = draw(st.floats(lat_lo + r, lat_hi - r))
+    n = draw(st.integers(3, 10))
+    angles = sorted(
+        draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=n, max_size=n, unique=True))
+    )
+    star = draw(st.booleans())
+    radii = [r * draw(st.floats(0.2, 1.0)) if star else r for _ in angles]
+    return Polygon(
+        [(lon + ri * np.cos(a), lat + 0.75 * ri * np.sin(a)) for ri, a in zip(radii, angles)]
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(poly=nyc_rings(), level=st.integers(10, 17), min_level=st.sampled_from([0, 12]))
+def test_generated_rings_match_reference(poly, level, min_level):
+    assert_matches_reference(poly, level, min(min_level, level))
+
+
+def test_root_matches_reference():
+    """The integer root search returns the reference's float search root,
+    also for bboxes on cell boundaries, degenerate ones and ones at or
+    past the edge of the world."""
+    bboxes = [p.bbox for p in neighborhoods(seed=11)[::7]]
+    for level in (3, 9, 15, 20):
+        for dx, dy in ((0, 0), (1, 0), (1, 1), (2, 3), (5, 8)):
+            lo_x, lo_y, _, _ = quad_bounds(37, 21, level)
+            hi_x, hi_y, _, _ = quad_bounds(37 + dx, 21 + dy, level)
+            bboxes.append(Rect(lo_x, lo_y, hi_x, hi_y))
+            bboxes.append(Rect(np.nextafter(lo_x, 0), lo_y, hi_x, np.nextafter(hi_y, 0)))
+    bboxes += [
+        Rect(-180.0, -90.0, -180.0, -90.0),
+        Rect(180.0, 90.0, 180.0, 90.0),
+        Rect(0.0, 0.0, 0.0, 0.0),
+        Rect(-180.0, 10.0, 180.0, 10.5),
+        Rect(-181.0, 10.0, -179.0, 11.0),
+        Rect(179.5, 10.0, 180.5, 11.0),
+        Rect(-200.0, -100.0, -190.0, -95.0),
+    ]
+    for bbox in bboxes:
+        for max_level in (0, 1, 13, 17, MAX_LEVEL):
+            assert _root_quad(bbox, max_level) == _ref_root_quad(bbox, max_level), (bbox, max_level)
+
+
+def test_rect_predicates_match_reference():
+    """The one-rect predicates are the vectorized classifier's one-rect
+    case; check them against the scalar reference on a concave ring,
+    including rects that share edges, corners and vertices with it."""
+    cshape = Polygon([(0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (4, 3), (4, 4), (0, 4)])
+    g = np.random.default_rng(0)
+    # Bounds on the ring's own coordinates and halfway between them, plus
+    # degenerate (point) rects.
+    vals = np.arange(-1.0, 5.5, 0.5)
+    lon_lo, lon_hi = np.sort(g.choice(vals, (400, 2)), axis=1).T
+    lat_lo, lat_hi = np.sort(g.choice(vals, (400, 2)), axis=1).T
+    px, py = (a.ravel() for a in np.meshgrid(vals, vals[::3]))
+    lon_lo, lon_hi = np.concatenate([lon_lo, px]), np.concatenate([lon_hi, px])
+    lat_lo, lat_hi = np.concatenate([lat_lo, py]), np.concatenate([lat_hi, py])
+    rects = [Rect(*r) for r in zip(lon_lo, lat_lo, lon_hi, lat_hi)]
+    want_hit = [_ref_intersects_rect(cshape, r) for r in rects]
+    want_in = [_ref_contains_rect(cshape, r) for r in rects]
+    assert [cshape.intersects_rect(r) for r in rects] == want_hit
+    assert [cshape.contains_rect(r) for r in rects] == want_in
+    hit, inside = cshape.classify_rects(lon_lo, lat_lo, lon_hi, lat_hi)
+    assert hit.tolist() == want_hit
+    assert inside.tolist() == want_in
+    assert any(want_hit) and not all(want_hit) and any(want_in)
+
+
+# -- edge inputs -----------------------------------------------------------
+
+
+# A level-15 cell in Midtown Manhattan; edge-input rings sit on its grid.
+GRID_X, GRID_Y, GRID_LEVEL = 9650, 23802, 15
+
+
+def grid_point(dx, dy):
+    """Lower-left corner of the level-15 cell ``dx``, ``dy`` cells from
+    ``(GRID_X, GRID_Y)``: exactly on the cell boundaries."""
+    lon, lat, _, _ = quad_bounds(GRID_X + dx, GRID_Y + dy, GRID_LEVEL)
+    return lon, lat
+
+
+def test_grid_aligned_rectangle():
+    """Edges exactly on cell boundaries: collinear and touching edges (the
+    ``o == 0`` branches) decide every boundary cell."""
+    nx, ny = 4, 3
+    rect = Polygon([grid_point(0, 0), grid_point(nx, 0), grid_point(nx, ny), grid_point(0, ny)])
+    for level in (13, 15, 16, 17):
+        for min_level in (0, 12):
+            assert_matches_reference(rect, level, min_level)
+    # Closed predicates: the ring of neighbours touching the rectangle is
+    # in the exterior covering; cells on its boundary are not interior.
+    assert len(exterior_covering(rect, GRID_LEVEL, GRID_LEVEL)) == (nx + 2) * (ny + 2)
+    assert len(interior_covering(rect, GRID_LEVEL, GRID_LEVEL)) == (nx - 2) * (ny - 2)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        [(-73.99, 40.74), (-73.98, 40.75), (-73.97, 40.76)],  # diagonal
+        [grid_point(0, 0), grid_point(1, 0), grid_point(3, 0)],  # on a cell boundary
+    ],
+)
+def test_collinear_sliver_ring(ring):
+    sliver = Polygon(ring)
+    for level in (13, 15, 17):
+        assert_matches_reference(sliver, level)
+        assert exterior_covering(sliver, level)
+        assert interior_covering(sliver, level) == []

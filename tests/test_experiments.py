@@ -3,6 +3,7 @@ table/figure function must produce well-formed rows and be reachable
 from ``jobs/run.py``, the one entry point that writes ``results/``."""
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,7 @@ def test_fig8_rows():
     rows = ex.fig8_level_error(sf=SF, levels=(12, 14))
     assert rows[1]["mean_rel_error"] < rows[0]["mean_rel_error"]
     assert rows[0]["cell_diag_m"] == pytest.approx(4 * rows[1]["cell_diag_m"])
+    assert all(r["cover_ms"] > 0 and r["runtime_ms"] > 0 for r in rows)
 
 
 def test_fig9_rows():
@@ -133,6 +135,22 @@ def test_entry_point_writes_results(run_module, tmp_path):
         assert lines[0] == f"== {run_module.EXPERIMENTS[name][1]} =="
         assert lines[1].split()[0] == headers[name]
         assert len(lines) > 2
+
+
+@pytest.mark.parametrize("outer", [None, "other"])
+def test_session_exports_src_to_workers(monkeypatch, outer):
+    """Spark's Python workers inherit PYTHONPATH, not the driver's
+    sys.path: importing ``_session`` must put ``src/`` first in it."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    if outer is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", outer)
+    spec = importlib.util.spec_from_file_location("_session_fresh", RUN_PY.parent / "_session.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    first, *rest = os.environ["PYTHONPATH"].split(os.pathsep)
+    assert Path(first) == RUN_PY.parents[1] / "src"
+    assert rest == ([] if outer is None else [outer])
 
 
 def test_entry_point_rejects_unknown_name(run_module, tmp_path, monkeypatch):

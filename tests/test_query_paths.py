@@ -3,14 +3,19 @@
 V1 and V2, each in batch and query-at-a-time mode, must match the
 BinarySearch baseline on the same cells, and the specialized COUNT must
 equal the SELECT count. Cells finer than the block level hold no
-CellBlock of their own, so every path must reject them.
+CellBlock of their own, so every path must reject them. Edge polygons
+(far outside the data, a collinear sliver, edges on cell boundaries) get
+one answer from V1, V2, COUNT, BinarySearch and BTree.
 """
 import pytest
 
 from repro.baselines.binary_search import BinarySearchEngine
+from repro.baselines.btree import BTreeEngine
 from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
 from repro.core.raw import extract_and_reorganize
 from repro.s2lite.cell import cell_from_latlon, cell_level, children, parent
+from repro.s2lite.covering import quad_bounds
+from repro.s2lite.polygon import Polygon
 from repro.synth_data import nyc_taxi_pandas
 from repro.workloads import DEFAULT_AGGS, VALUE_COLS, neighborhoods, skewed_workload
 
@@ -19,6 +24,7 @@ RAW = extract_and_reorganize(TAXI, VALUE_COLS)
 LEVEL = 15
 V1 = GeoBlock.build_from_raw(RAW, level=LEVEL)
 BS = BinarySearchEngine(RAW, LEVEL)
+BT = BTreeEngine(RAW, LEVEL)
 HOODS = neighborhoods()
 PLANS = [V1.cover(p) for p in HOODS]
 COUNT = ("passenger_count", "count")
@@ -70,6 +76,32 @@ def test_every_path_gives_one_answer(threshold):
             for batch in (True, False):
                 assert_same(engine.query_cells(cells, DEFAULT_AGGS, batch=batch), want)
             assert engine.count_cells(cells) == want[COUNT]
+
+
+def _grid_rect(x, y, nx, ny):
+    """A rectangle whose edges lie exactly on level-LEVEL cell boundaries."""
+    lon_lo, lat_lo, _, _ = quad_bounds(x, y, LEVEL)
+    _, _, lon_hi, lat_hi = quad_bounds(x + nx - 1, y + ny - 1, LEVEL)
+    return Polygon([(lon_lo, lat_lo), (lon_hi, lat_lo), (lon_hi, lat_hi), (lon_lo, lat_hi)])
+
+
+@pytest.mark.parametrize(
+    "poly,populated",
+    [
+        (Polygon([(2.30, 48.85), (2.36, 48.85), (2.36, 48.88), (2.30, 48.88)]), False),  # Paris
+        (Polygon([(-73.99, 40.74), (-73.98, 40.75), (-73.97, 40.76)]), True),  # collinear sliver
+        (_grid_rect(9650, 23802, 4, 3), True),  # Midtown, on the level-15 grid
+    ],
+    ids=["far_outside", "sliver", "grid_aligned"],
+)
+def test_edge_polygons_give_one_answer(poly, populated):
+    want = BS.query_select(poly, DEFAULT_AGGS)
+    assert (want[COUNT] > 0) == populated
+    assert_same(BT.query_select(poly, DEFAULT_AGGS), want)
+    assert BS.query_count(poly) == BT.query_count(poly) == want[COUNT]
+    for engine in (V1, trained_v2(0.05)):
+        assert_same(engine.query_select(poly, DEFAULT_AGGS), want)
+        assert engine.query_count(poly) == want[COUNT]
 
 
 def test_cells_finer_than_block_level_rejected():

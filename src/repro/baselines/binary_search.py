@@ -13,9 +13,8 @@ where the GeoBlock touches one header per occupied cell.
 """
 import numpy as np
 
-from repro.core.geoblock import AggAccumulator, gather_ranges, needed_stats
+from repro.core.geoblock import AggAccumulator, checked_cells, gather_ranges, needed_stats
 from repro.core.raw import RawTable
-from repro.s2lite.cell import range_max, range_min
 from repro.s2lite.covering import exterior_covering
 
 __all__ = ["BinarySearchEngine"]
@@ -34,10 +33,15 @@ class BinarySearchEngine:
     def cover(self, polygon):
         return exterior_covering(polygon, self.level)
 
-    def _tuple_range(self, cid: int):
-        lo = int(np.searchsorted(self.raw.keys, range_min(int(cid)), side="left"))
-        hi = int(np.searchsorted(self.raw.keys, range_max(int(cid)), side="right"))
-        return lo, hi
+    def _tuple_ranges(self, cells):
+        """Raw tuple range ``[i0, i1)`` of each covering cell, all found
+        by one vectorized binary search (``i1 >= i0``)."""
+        cells, lsb = checked_cells(cells, self.level)
+        keys = self.raw.keys
+        return (
+            keys.searchsorted(cells - lsb + 1, side="left"),
+            keys.searchsorted(cells + lsb - 1, side="right"),
+        )
 
     def query_cells(self, cells, specs):
         """Binary-search the tuple range of every covering cell, then
@@ -46,11 +50,7 @@ class BinarySearchEngine:
         both engines' costs stay proportional to elements scanned)."""
         cols = needed_stats(specs)
         acc = AggAccumulator(cols)
-        cells = np.asarray(cells, dtype=np.int64)
-        lsb = cells & -cells
-        keys = self.raw.keys
-        i0 = keys.searchsorted(cells - lsb + 1, side="left")
-        i1 = keys.searchsorted(cells + lsb - 1, side="right")
+        i0, i1 = self._tuple_ranges(cells)
         m = i1 > i0
         if m.any():
             idx = gather_ranges(i0[m], i1[m])
@@ -61,11 +61,8 @@ class BinarySearchEngine:
         return self.query_cells(self.cover(polygon), specs)
 
     def count_cells(self, cells) -> int:
-        total = 0
-        for cid in cells:
-            lo, hi = self._tuple_range(cid)
-            total += max(0, hi - lo)
-        return total
+        i0, i1 = self._tuple_ranges(cells)
+        return int((i1 - i0).sum())
 
     def query_count(self, polygon) -> int:
         return self.count_cells(self.cover(polygon))

@@ -13,7 +13,7 @@ differ only in how the scan start is located, exactly as in the paper.
 """
 import numpy as np
 
-from repro.core.geoblock import AggAccumulator, gather_ranges, needed_stats
+from repro.core.geoblock import AggAccumulator, checked_cells, gather_ranges, needed_stats
 from repro.core.raw import RawTable
 from repro.s2lite.cell import range_max, range_min
 from repro.s2lite.covering import exterior_covering
@@ -115,7 +115,7 @@ class BTreeEngine:
         cols = needed_stats(specs)
         acc = AggAccumulator(cols)
         los, his = [], []
-        for cid in cells:
+        for cid in checked_cells(cells, self.level)[0].tolist():
             lo, hi = self._cell_range(cid)
             if hi > lo:
                 los.append(lo)
@@ -130,7 +130,7 @@ class BTreeEngine:
 
     def count_cells(self, cells) -> int:
         total = 0
-        for cid in cells:
+        for cid in checked_cells(cells, self.level)[0].tolist():
             lo, hi = self._cell_range(cid)
             total += max(0, hi - lo)
         return total

@@ -15,8 +15,7 @@ relevant unaggregated cell until the reserved area is filled".
 """
 import numpy as np
 
-from repro.core.geoblock import aggregate_row
-from repro.s2lite.cell import cell_level, children, contains, parent
+from repro.s2lite.cell import cell_level, children, parent
 
 __all__ = ["AggregateTrie"]
 
@@ -46,13 +45,13 @@ class AggregateTrie:
             budget_bytes=int(threshold * block.header_size_bytes()),
             agg_row_bytes=block.aggregate_row_bytes(),
         )
-        for cid in stats.ranked_cells():
-            # Cells finer than the block level cannot be cached (no finer
-            # aggregates exist); cells outside the root never reach here.
-            if cell_level(cid) > block.level:
-                continue
-            if not contains(trie.root, cid) and cid != trie.root:
-                continue
+        ranked = stats.ranked_cells()
+        level = cell_level(ranked)
+        # Cells finer than the block level cannot be cached (no finer
+        # aggregates exist). The StatsTrie holds only cells that meet the
+        # root, so the ones at or below the root's level lie inside it.
+        fits = (level >= trie.root_level) & (level <= block.level)
+        for cid in ranked[fits].tolist():
             if not trie._try_insert(cid):
                 # The paper fills in strict rank order and stops at the
                 # first cell that no longer fits (strict order guarantee).
@@ -66,10 +65,6 @@ class AggregateTrie:
         GeoBlock's header arrays so one executor reduces both."""
         ids = np.fromiter(self.slot_of, dtype=np.int64, count=len(self.slot_of))
         self.counts, self.aggs = block.cell_aggregates(ids)
-        self.rows = {
-            cid: aggregate_row(self.counts, self.aggs, slot)
-            for cid, slot in self.slot_of.items()
-        }
         # Sorted-id views for batch probes: searchsorted membership is
         # the vectorized equivalent of the paper's per-cell trie descent.
         self.sorted_slots = np.argsort(ids)
@@ -79,12 +74,10 @@ class AggregateTrie:
         # the adapted algorithm can beat the plain fallback. Probing this
         # set instead of all allocated nodes skips the guaranteed-futile
         # child lookups that sibling allocation would otherwise cause.
-        self.child_parents = {
-            parent(cid, cell_level(cid) - 1)
-            for cid in self.slot_of
-            if cell_level(cid) > self.root_level
-        }
-        self.child_parent_ids = np.array(sorted(self.child_parents), dtype=np.int64)
+        level = cell_level(ids)
+        below = level > self.root_level
+        self.child_parent_ids = np.unique(parent(ids[below], level[below] - 1))
+        self.child_parents = set(self.child_parent_ids.tolist())
 
     def _path_cost_bytes(self, cid: int) -> int:
         """Bytes of new trie nodes needed to reach ``cid``: one 4-child
@@ -123,8 +116,19 @@ class AggregateTrie:
 
     # -- queries ----------------------------------------------------------
     def get(self, cid: int):
-        """Cached aggregate row for ``cid`` or None."""
-        return self.rows.get(int(cid))
+        """Cached aggregate row of ``cid`` as ``(count, mins, maxs, sums)``
+        of per-column dicts (an empty cell has no min or max), or None if
+        ``cid`` is not cached."""
+        j = self.slot_of.get(int(cid))
+        if j is None:
+            return None
+        empty = self.counts[j] == 0
+        return (
+            int(self.counts[j]),
+            {c: None if empty else float(a["min"][j]) for c, a in self.aggs.items()},
+            {c: None if empty else float(a["max"][j]) for c, a in self.aggs.items()},
+            {c: float(a["sum"][j]) for c, a in self.aggs.items()},
+        )
 
     def lookup(self, cells, *, batch: bool = True):
         """Resolve query cells against the cache (the paper's Figure 5).
@@ -159,11 +163,6 @@ class AggregateTrie:
             slots = np.concatenate([slots, self.sorted_slots[pos[hit]]])
             rest = np.concatenate([rest, kids[~hit]])
         return slots, rest
-
-    def has_node(self, cid: int) -> bool:
-        """Whether ``cid`` has an allocated trie node (the nodes the byte
-        accounting charges for)."""
-        return int(cid) in self.nodes
 
     def __len__(self) -> int:
         return len(self.slot_of)

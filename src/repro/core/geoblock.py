@@ -38,7 +38,7 @@ from repro.core.raw import RawTable
 from repro.s2lite.cell import MAX_LEVEL
 from repro.s2lite.covering import exterior_covering
 
-__all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "needed_stats"]
+__all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "checked_cells", "needed_stats"]
 
 _STATS = ("min", "max", "sum")
 _NO_SLOTS = np.empty(0, dtype=np.int64)
@@ -59,6 +59,17 @@ def gather_ranges(i0, i1):
     lens = i1 - i0
     ends = np.cumsum(lens)
     return np.arange(ends[-1], dtype=np.int64) + np.repeat(i0 - ends + lens, lens)
+
+
+def checked_cells(cells, level: int):
+    """Query cells as an int64 array and their lowest set bits, after
+    checking that none is finer than ``level``: an engine answers cells
+    at or above its block level only, as finer aggregates do not exist."""
+    cells = np.asarray(cells, dtype=np.int64)
+    lsb = cells & -cells
+    if lsb.min(initial=1 << 62) < 1 << (2 * (MAX_LEVEL - level)):
+        raise ValueError(f"query cells must be at or above the block level {level}")
+    return cells, lsb
 
 
 def needed_stats(specs):
@@ -96,19 +107,6 @@ def _reduce_segments(values, starts):
     }
 
 
-def aggregate_row(counts, aggs, j):
-    """Entry ``j`` of per-cell aggregate arrays (as from
-    :meth:`GeoBlock.cell_aggregates`) as a row ``(count, mins, maxs,
-    sums)`` of per-column dicts; an empty cell has no min or max."""
-    empty = counts[j] == 0
-    return (
-        int(counts[j]),
-        {c: None if empty else float(a["min"][j]) for c, a in aggs.items()},
-        {c: None if empty else float(a["max"][j]) for c, a in aggs.items()},
-        {c: float(a["sum"][j]) for c, a in aggs.items()},
-    )
-
-
 class AggAccumulator:
     """Running combination of aggregates for one query."""
 
@@ -132,22 +130,23 @@ class AggAccumulator:
                 self.sums[c] += float(stats["sum"].sum())
 
     def finalize(self, specs):
-        """Project the accumulator onto the requested ``specs``."""
+        """Project the accumulator onto the requested ``specs``. The answer
+        is keyed by the spec tuples themselves, not copies, so answers a
+        caller keeps share their keys."""
         empty = self.count == 0
         out = {}
-        for col, op in specs:
+        for key in map(tuple, specs):
+            col, op = key
             if op == "count":
-                out[(col, op)] = int(self.count)
+                out[key] = int(self.count)
             elif op == "sum":
-                out[(col, op)] = 0.0 if empty else float(self.sums[col])
+                out[key] = 0.0 if empty else float(self.sums[col])
             elif op == "min":
-                out[(col, op)] = None if empty else float(self.mins[col])
+                out[key] = None if empty else float(self.mins[col])
             elif op == "max":
-                out[(col, op)] = None if empty else float(self.maxs[col])
+                out[key] = None if empty else float(self.maxs[col])
             elif op == "avg":
-                out[(col, op)] = (
-                    None if empty else float(self.sums[col]) / self.count
-                )
+                out[key] = None if empty else float(self.sums[col]) / self.count
         return out
 
 
@@ -170,8 +169,6 @@ class GeoBlock:
         self.value_cols = list(value_cols)
         self.key_min = key_min  # smallest point key in the block
         self.key_max = key_max
-        # Lowest set bit of a block-level cell id; finer cells have less.
-        self._block_lsb = 1 << (2 * (MAX_LEVEL - level))
         self.block_header = AggAccumulator(self.value_cols)
         if len(keys):
             self.block_header.combine(int(counts.sum()), aggs)
@@ -239,12 +236,7 @@ class GeoBlock:
         otherwise each cell gets the block-wide pre-query check and its
         own two binary searches, the paper's per-cell cost structure.
         """
-        cells = np.asarray(cells, dtype=np.int64)
-        lsb = cells & -cells
-        if lsb.min(initial=self._block_lsb) < self._block_lsb:
-            raise ValueError(
-                f"query cells must be at or above the block level {self.level}"
-            )
+        cells, lsb = checked_cells(cells, self.level)
         rmin, rmax = cells - lsb + 1, cells + lsb - 1
         if batch:
             i0 = self.keys.searchsorted(rmin, side="left")
@@ -331,10 +323,6 @@ class GeoBlock:
                 for stat, v in seg.items():
                     aggs[c][stat][full] = v
         return counts, aggs
-
-    def cell_aggregate_row(self, cid: int):
-        """Full aggregate row of one query cell (see :func:`aggregate_row`)."""
-        return aggregate_row(*self.cell_aggregates([cid]), 0)
 
 
 class AdaptiveGeoBlock(GeoBlock):

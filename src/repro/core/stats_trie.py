@@ -3,20 +3,23 @@
 The paper stores per-cell hit counters in a prefix-pruned 4-ary trie so
 that all previously seen query cells can be scored. The information
 content of that trie is a map ``cell id -> hit count`` plus the pruned
-root; we keep exactly that (a Python dict keyed by cell id — the id *is*
-the prefix path, so the trie encoding is a storage optimization, not a
-semantic one; see DESIGN.md section 4.5).
+root; we keep exactly that, as sorted parallel ``ids``/``hits`` arrays.
+A query's covering is recorded in O(1) and counted only when the
+statistics are read (DESIGN.md section 4, item 5).
 
 Scoring ("a very rudimentary metric", quoted from the paper): score =
 own hits + direct parent's hits; candidates ranked by descending score,
 then ascending level (coarser first), then ascending spatial key — the
 exact reproducibility tie-break the paper specifies.
 """
-from collections import Counter
+import numpy as np
 
 from repro.s2lite.cell import cell_level, common_ancestor, parent, range_max, range_min
 
 __all__ = ["StatsTrie"]
+
+# Pending cells always allowed before a fold, however few are folded.
+_FOLD_FLOOR = 1 << 16
 
 
 class StatsTrie:
@@ -25,47 +28,54 @@ class StatsTrie:
         # cells outside it can never touch the block (the pre-query check
         # answers them in O(1)), so not tracking them loses nothing.
         self.root = common_ancestor(key_min, key_max)
-        self.root_level = cell_level(self.root)
         self._rmin = range_min(self.root)
         self._rmax = range_max(self.root)
-        self.hits = Counter()
-
-    def record(self, cid: int) -> None:
-        """Count one query of cell ``cid`` (ignored if disjoint from the
-        block's covering root)."""
-        cid = int(cid)
-        if range_max(cid) < self._rmin or range_min(cid) > self._rmax:
-            return
-        self.hits[cid] = self.hits.get(cid, 0) + 1
+        self._ids = np.empty(0, dtype=np.int64)
+        self._hits = np.empty(0, dtype=np.int64)
+        self._pending = []  # copies of the coverings recorded since the last fold
+        self._n_pending = 0
 
     def record_many(self, cells) -> None:
-        """Record a whole covering at once — the per-query fast path of
-        the adapted algorithm. ``cells`` may be a list of ints or an
-        int64 numpy array; the range filter runs vectorized and the
-        counter update is a single C-level pass."""
-        import numpy as np
+        """Record one query's covering (ints or an int64 array). It is
+        counted at the next read, or once the pending cells outnumber
+        the folded ids, so pending memory stays within a constant factor
+        of the distinct cells and each fold is paid for by the records
+        before it."""
+        arr = np.array(cells, dtype=np.int64)
+        self._pending.append(arr)
+        self._n_pending += len(arr)
+        if self._n_pending > max(_FOLD_FLOOR, len(self._ids)):
+            self._fold()
 
-        arr = np.asarray(cells, dtype=np.int64)
-        if len(arr) == 0:
+    def _fold(self) -> None:
+        """Merge the pending coverings' cells that meet the root into
+        ``ids``/``hits``."""
+        if not self._pending:
             return
-        lsb = arr & -arr
-        m = ~((arr + lsb - 1 < self._rmin) | (arr - lsb + 1 > self._rmax))
-        self.hits.update(arr[m].tolist())
+        new = np.concatenate(self._pending)
+        self._pending, self._n_pending = [], 0
+        lsb = new & -new
+        new = new[(new + lsb - 1 >= self._rmin) & (new - lsb + 1 <= self._rmax)]
+        n_old = len(self._ids)
+        self._ids, inv = np.unique(np.concatenate([self._ids, new]), return_inverse=True)
+        hits = np.bincount(inv[n_old:], minlength=len(self._ids))
+        hits[inv[:n_old]] += self._hits
+        self._hits = hits
 
-    def total_hits(self) -> int:
-        return sum(self.hits.values())
-
-    def score(self, cid: int) -> int:
-        """Own hits plus the direct parent's hits."""
-        own = self.hits.get(cid, 0)
-        lvl = cell_level(cid)
-        if lvl == 0:
-            return own
-        return own + self.hits.get(parent(cid, lvl - 1), 0)
+    def counts(self):
+        """``(ids, hits)``: every recorded cell that meets the root,
+        ascending, and its hit count."""
+        self._fold()
+        return self._ids, self._hits
 
     def ranked_cells(self):
         """All seen cells ordered by (-score, level, key) — the insertion
-        order for the AggregateTrie."""
-        return sorted(
-            self.hits, key=lambda c: (-self.score(c), cell_level(c), c)
-        )
+        order for the AggregateTrie — as an int64 array."""
+        ids, hits = self.counts()
+        if not len(ids):
+            return ids
+        level = cell_level(ids)
+        par = parent(ids, np.maximum(level - 1, 0))
+        pos = np.minimum(ids.searchsorted(par), len(ids) - 1)
+        score = hits + np.where((ids[pos] == par) & (level > 0), hits[pos], 0)
+        return ids[np.lexsort((ids, level, -score))]

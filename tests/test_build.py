@@ -111,7 +111,8 @@ def test_spark_block_queries_match_driver_block(taxi_sdf):
 def test_adaptive_block_from_spark(taxi_sdf):
     blk = geoblock_from_spark(taxi_sdf, LEVEL, VALUE_COLS, adaptive=True)
     assert isinstance(blk, AdaptiveGeoBlock)
-    assert blk.stats.total_hits() == 0
+    ids, hits = blk.stats.counts()
+    assert len(ids) == len(hits) == 0
 
 
 def test_releveling_from_key_column(taxi_sdf):

@@ -225,3 +225,12 @@ def test_error_shrinks_with_level():
 def test_cover_respects_block_level():
     cells = BLOCK.cover(HOODS[0])
     assert max(cell_level(int(c)) for c in cells) <= BLOCK.level
+
+
+def test_answers_share_the_spec_keys():
+    """Answers are keyed by the caller's spec tuples, not copies of them,
+    so answers a caller keeps cost no key objects of their own."""
+    cells = BLOCK.cover(HOODS[0])
+    for ans in (BLOCK.query_cells(cells, DEFAULT_AGGS), BLOCK.query_cells(cells[:0], DEFAULT_AGGS)):
+        assert list(ans) == DEFAULT_AGGS
+        assert all(k is spec for k, spec in zip(ans, DEFAULT_AGGS))

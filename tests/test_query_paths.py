@@ -58,11 +58,11 @@ def test_every_path_gives_one_answer(threshold):
     # A parent whose direct children, not itself, are cached.
     only_kids = next(
         parent(c, cell_level(c) - 1)
-        for c in trie.rows
+        for c in trie.slot_of
         if cell_level(c) > trie.root_level
-        and trie.get(parent(c, cell_level(c) - 1)) is None
+        and parent(c, cell_level(c) - 1) not in trie.slot_of
     )
-    assert any(trie.get(k) is not None for k in children(only_kids))
+    assert any(k in trie.slot_of for k in children(only_kids))
     mid = int(V1.keys[len(V1.keys) // 2])
     edge = [
         [],
@@ -105,10 +105,10 @@ def test_edge_polygons_give_one_answer(poly, populated):
 
 
 def test_cells_finer_than_block_level_rejected():
-    # The four children of a populated CellBlock: BinarySearch finds its
-    # tuples, so answering 0 would be silently wrong.
+    # The four children of a populated CellBlock: an engine one level
+    # finer finds their tuples, so answering 0 would be silently wrong.
     kids = children(int(V1.keys[len(V1.keys) // 2]))
-    assert BS.count_cells(kids) > 0
+    assert BinarySearchEngine(RAW, LEVEL + 1).count_cells(kids) > 0
     v2 = trained_v2(0.05)
     for engine in (V1, v2):
         for batch in (True, False):
@@ -116,5 +116,11 @@ def test_cells_finer_than_block_level_rejected():
                 engine.query_cells(kids, DEFAULT_AGGS, batch=batch)
             with pytest.raises(ValueError):
                 engine.query_cells([int(V1.keys[0])] + kids[:1], DEFAULT_AGGS, batch=batch)
+    for engine in (BS, BT):
+        with pytest.raises(ValueError):
+            engine.query_cells(kids, DEFAULT_AGGS)
+        with pytest.raises(ValueError):
+            engine.query_cells([int(V1.keys[0])] + kids[:1], DEFAULT_AGGS)
+    for engine in (V1, v2, BS, BT):
         with pytest.raises(ValueError):
             engine.count_cells(kids)

@@ -4,14 +4,19 @@ The paper stores the cache in-place between the GeoBlock header and the
 raw data: a compact 4-ary trie (two 32-bit offsets per node, children
 always allocated four-at-a-time) pointing into an aggregate store, with
 total size capped at a user threshold expressed as a fraction of the
-GeoBlock header size. We keep the cache as dicts keyed by cell id but
-reproduce the paper's *byte accounting* exactly — 4 x 8 bytes whenever a
-node's child block is first allocated, plus one full aggregate row per
-cached cell — because the accounting is what decides which cells fit
+GeoBlock header size. We keep the cached cells as sorted id arrays and
+their aggregates as arrays laid out like the header, but reproduce the
+paper's *byte accounting* exactly, because it decides which cells fit
 under a given threshold (the measured quantity in Figures 9/10).
 
-Insertion order is the StatsTrie ranking; "we can simply insert the most
-relevant unaggregated cell until the reserved area is filled".
+"We can simply insert the most relevant unaggregated cell until the
+reserved area is filled": in the StatsTrie's rank order, the cache is
+the longest prefix of the ranking whose bytes fit. A cell costs one
+aggregate row plus one 4-node child block (4 x 8 bytes) for each path
+parent — ancestor at a level from the root's down to its own parent's —
+that no higher-ranked cell already has; the root node costs 8 bytes.
+The fill is therefore one prefix sum over the ranking, not a per-cell
+insert loop.
 """
 import numpy as np
 
@@ -24,14 +29,9 @@ _CHILD_BLOCK_BYTES = 4 * _NODE_BYTES  # children are allocated 4 at a time
 
 
 class AggregateTrie:
-    def __init__(self, root: int, budget_bytes: int, agg_row_bytes: int):
+    def __init__(self, root: int):
         self.root = root
         self.root_level = cell_level(root)
-        self.budget_bytes = budget_bytes
-        self.agg_row_bytes = agg_row_bytes
-        self.nodes = {root}  # cells with an allocated trie node
-        self.slot_of = {}  # cached cell id -> slot, in insertion order
-        self.used_bytes = _NODE_BYTES  # the root node itself
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -40,30 +40,39 @@ class AggregateTrie:
         ``threshold * header_size`` bytes."""
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
-        trie = cls(
-            root=stats.root,
-            budget_bytes=int(threshold * block.header_size_bytes()),
-            agg_row_bytes=block.aggregate_row_bytes(),
-        )
+        trie = cls(stats.root)
+        row_bytes = block.aggregate_row_bytes()
         ranked = stats.ranked_cells()
         level = cell_level(ranked)
         # Cells finer than the block level cannot be cached (no finer
         # aggregates exist). The StatsTrie holds only cells that meet the
         # root, so the ones at or below the root's level lie inside it.
         fits = (level >= trie.root_level) & (level <= block.level)
-        for cid in ranked[fits].tolist():
-            if not trie._try_insert(cid):
-                # The paper fills in strict rank order and stops at the
-                # first cell that no longer fits (strict order guarantee).
-                break
-        trie._finalize(block)
+        # Every cell costs at least its row, which bounds the prefix.
+        room = max(int(threshold * block.header_size_bytes()) - _NODE_BYTES, 0)
+        n = room // row_bytes
+        ranked, level = ranked[fits][:n], level[fits][:n]
+        # One (rank, path parent) pair per parent(c, l), root_level <= l <
+        # level(c); a parent's first rank is the cell that allocates its
+        # child block.
+        depth = level - trie.root_level
+        rank = np.repeat(np.arange(len(ranked)), depth)
+        step = np.arange(len(rank)) - np.repeat(np.cumsum(depth) - depth, depth)
+        _, first = np.unique(parent(ranked[rank], trie.root_level + step), return_index=True)
+        blocks = np.bincount(rank[first], minlength=len(ranked))
+        used = np.cumsum(row_bytes + _CHILD_BLOCK_BYTES * blocks)
+        # The paper fills in strict rank order and stops at the first cell
+        # that no longer fits (strict order guarantee).
+        k = int(used.searchsorted(room, side="right"))
+        trie.used_bytes = _NODE_BYTES + (int(used[k - 1]) if k else 0)
+        trie._finalize(block, ranked[:k])
         return trie
 
-    def _finalize(self, block) -> None:
+    def _finalize(self, block, ids) -> None:
         """Aggregate the cached cells into contiguous arrays (the paper's
         aggregate storage, addressed by trie offsets), laid out like the
         GeoBlock's header arrays so one executor reduces both."""
-        ids = np.fromiter(self.slot_of, dtype=np.int64, count=len(self.slot_of))
+        self.slot_of = dict(zip(ids.tolist(), range(len(ids))))  # cell id -> slot
         self.counts, self.aggs = block.cell_aggregates(ids)
         # Sorted-id views for batch probes: searchsorted membership is
         # the vectorized equivalent of the paper's per-cell trie descent.
@@ -78,41 +87,6 @@ class AggregateTrie:
         below = level > self.root_level
         self.child_parent_ids = np.unique(parent(ids[below], level[below] - 1))
         self.child_parents = set(self.child_parent_ids.tolist())
-
-    def _path_cost_bytes(self, cid: int) -> int:
-        """Bytes of new trie nodes needed to reach ``cid``: one 4-child
-        block per path node whose children are not yet allocated."""
-        cost = 0
-        lvl = cell_level(cid)
-        # Walk from the cell up to the root; each missing node on the way
-        # implies its parent's child block must be allocated.
-        l = lvl
-        while l > self.root_level:
-            node = parent(cid, l)
-            if node in self.nodes:
-                break
-            cost += _CHILD_BLOCK_BYTES
-            l -= 1
-        return cost
-
-    def _try_insert(self, cid: int) -> bool:
-        cost = self._path_cost_bytes(cid) + self.agg_row_bytes
-        if self.used_bytes + cost > self.budget_bytes:
-            return False
-        # Allocate path nodes (all four siblings at each new level).
-        lvl = cell_level(cid)
-        for l in range(self.root_level, lvl + 1):
-            node = parent(cid, l)
-            if node not in self.nodes:
-                if l > self.root_level:
-                    p = parent(cid, l - 1)
-                    for sib in children(p):
-                        self.nodes.add(sib)
-                else:
-                    self.nodes.add(node)
-        self.slot_of[cid] = len(self.slot_of)
-        self.used_bytes += cost
-        return True
 
     # -- queries ----------------------------------------------------------
     def get(self, cid: int):

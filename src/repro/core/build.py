@@ -6,21 +6,22 @@ cell at the block level. Key materialization (lat/lon -> Hilbert point
 key) runs as a vectorized pandas UDF; the cell id at any level is then a
 pure Catalyst bitwise expression on the key (`(skey & -lsb) | lsb`, the
 same lsb arithmetic the paper uses), so re-leveling a block never
-re-reads lat/lon. CellBlock offsets — positions of each cell's first
-tuple in the key-sorted raw data — come from a running sum window over
-the sorted headers.
+re-reads lat/lon.
 
 ``geoblock_from_spark`` collects the (small) header relation into the
 driver-side :class:`~repro.core.geoblock.GeoBlock` layout used by the
-query benchmarks; the header DataFrame itself feeds the distributed
-query path in :mod:`repro.core.spark_query`.
+query benchmarks. CellBlock offsets — positions of each cell's first
+tuple in the key-sorted raw data — matter only there, so they are a
+running sum of the collected counts. The header DataFrame itself feeds
+the distributed query path in :mod:`repro.core.spark_query`.
 """
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
-from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
+from repro.core.geoblock import GeoBlock
 from repro.s2lite.cell import MAX_LEVEL, point_keys_from_latlon
 
 __all__ = [
@@ -61,14 +62,9 @@ def build_headers_spark(
 ) -> DataFrame:
     """CellBlock-header relation: one row per non-empty grid cell.
 
-    Schema: ``cell``, ``cnt``, ``offset``, and ``{col}__min/max/sum`` per
-    value column, ordered by ``cell`` (empty cells are absent, as in the
-    paper: "grid cells covering no tuples are omitted").
-
-    The offset window runs un-partitioned over the header relation; that
-    relation is small by construction (<= one row per occupied grid
-    cell), which is the entire point of pre-aggregation, so the
-    single-partition window is not a scalability concern.
+    Schema: ``cell``, ``cnt`` and ``{col}__min/max/sum`` per value
+    column, ordered by ``cell`` (empty cells are absent, as in the paper:
+    "grid cells covering no tuples are omitted").
     """
     aggs = [F.count(F.lit(1)).alias("cnt")]
     for c in value_cols:
@@ -77,12 +73,7 @@ def build_headers_spark(
             F.max(c).alias(f"{c}__max"),
             F.sum(c).alias(f"{c}__sum"),
         ]
-    hdr = df.groupBy(cell_expr(key_col, level).alias("cell")).agg(*aggs)
-    w = Window.orderBy("cell").rowsBetween(Window.unboundedPreceding, -1)
-    return (
-        hdr.withColumn("offset", F.coalesce(F.sum("cnt").over(w), F.lit(0)))
-        .orderBy("cell")
-    )
+    return df.groupBy(cell_expr(key_col, level).alias("cell")).agg(*aggs).orderBy("cell")
 
 
 def geoblock_from_spark(
@@ -91,7 +82,6 @@ def geoblock_from_spark(
     value_cols,
     *,
     key_col: str = "skey",
-    adaptive: bool = False,
 ) -> GeoBlock:
     """Collect the header relation into the driver-side GeoBlock layout."""
     hdr = build_headers_spark(df, level, value_cols, key_col=key_col).toPandas()
@@ -106,12 +96,12 @@ def geoblock_from_spark(
         }
         for c in value_cols
     }
-    cls = AdaptiveGeoBlock if adaptive else GeoBlock
-    return cls(
+    counts = hdr["cnt"].to_numpy(dtype="int64")
+    return GeoBlock(
         level=level,
         keys=hdr["cell"].to_numpy(dtype="int64"),
-        offsets=hdr["offset"].to_numpy(dtype="int64"),
-        counts=hdr["cnt"].to_numpy(dtype="int64"),
+        offsets=np.cumsum(counts) - counts,
+        counts=counts,
         aggs=aggs,
         value_cols=list(value_cols),
         key_min=int(krange["kmin"]),

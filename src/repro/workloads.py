@@ -89,11 +89,6 @@ def neighborhoods(*, seed: int = 11) -> list:
     return fine + coarse
 
 
-def base_workload(polys) -> list:
-    """The paper's base workload: every polygon queried once."""
-    return list(polys)
-
-
 def skewed_workload(polys, *, frac: float = 0.1, seed: int = 13) -> list:
     """The paper's skewed workload: ``frac`` of the polygons selected
     uniformly at random (queried repeatedly by the caller)."""

@@ -1,8 +1,10 @@
 """Tests for query-driven adaptation: StatsTrie scoring (against a
-Counter-based reference), AggregateTrie budget accounting, and the V2
+Counter-based reference), AggregateTrie budget accounting (against a
+one-cell-at-a-time reference fill), and the V2
 adapted query algorithm (which must always return exactly the V1 answer
 — the cache changes cost, never results)."""
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -196,19 +198,31 @@ def _trained_stats(queries=20, stats_cls=StatsTrie):
     return s
 
 
-def _reference_build(block, stats, threshold):
-    """The AggregateTrie fill loop over a ranking, one cell at a time."""
-    trie = AggregateTrie(
-        root=stats.root,
-        budget_bytes=int(threshold * block.header_size_bytes()),
-        agg_row_bytes=block.aggregate_row_bytes(),
-    )
-    for cid in stats.ranked_cells().tolist():
-        if cell_level(cid) > block.level or not contains(trie.root, cid):
+def reference_fill(root, ranked, max_level, budget, row_bytes):
+    """Reference AggregateTrie fill, one cell at a time: walk each ranked
+    cell's path in a set of allocated trie nodes, charge one 4-node child
+    block per missing node and one aggregate row, allocate the path's
+    nodes four siblings at a time, and stop at the first cell that no
+    longer fits. Returns the cached cells in slot order and the bytes
+    used after 0, 1, ... insertions."""
+    root_level = cell_level(root)
+    nodes, cached, used = {root}, [], [8]  # the root node itself
+    for cid in ranked:
+        lvl = cell_level(cid)
+        if lvl > max_level or not contains(root, cid):
             continue
-        if not trie._try_insert(cid):
+        cost, l = row_bytes, lvl
+        while l > root_level and parent(cid, l) not in nodes:
+            cost += 32
+            l -= 1
+        if used[-1] + cost > budget:
             break
-    return trie
+        for l in range(root_level + 1, lvl + 1):
+            if parent(cid, l) not in nodes:
+                nodes.update(children(parent(cid, l - 1)))
+        cached.append(cid)
+        used.append(used[-1] + cost)
+    return cached, used
 
 
 @pytest.mark.parametrize("threshold", [0.01, 0.05, 0.2, 1.0])
@@ -221,11 +235,54 @@ def test_trie_build_matches_reference_ranking(threshold):
     ref_stats, stats = _trained_stats(60, CounterStats), _trained_stats(60)
     for s in (ref_stats, stats):
         s.record_many(skip * 50)
-    ref = _reference_build(V1, ref_stats, threshold)
+    budget = int(threshold * V1.header_size_bytes())
+    cached, used = reference_fill(
+        ref_stats.root, ref_stats.ranked_cells().tolist(), V1.level, budget, V1.aggregate_row_bytes()
+    )
     trie = AggregateTrie.build(V1, stats, threshold)
     assert len(trie) > 0
-    assert list(trie.slot_of.items()) == list(ref.slot_of.items())
-    assert trie.size_bytes() == ref.size_bytes()
+    assert list(trie.slot_of.items()) == [(c, j) for j, c in enumerate(cached)]
+    assert trie.size_bytes() == used[-1]
+
+
+# Rankings of distinct cells around a few point keys inside the root:
+# the root itself, its ancestors, nested chains, siblings and cells
+# finer than the block level, in any order.
+_FILL_KEYS = [int(k) for k in RAW.keys[:: len(RAW.keys) // 5]]
+_fill_cell = st.one_of(
+    st.builds(parent, st.sampled_from(_FILL_KEYS), st.integers(0, 30)),
+    st.builds(
+        lambda k, l, i: children(parent(k, l))[i],
+        st.sampled_from(_FILL_KEYS),
+        st.integers(0, 29),
+        st.integers(0, 3),
+    ),
+)
+# V1 with a one-byte header: a build's threshold is its budget in bytes.
+_BYTE_BLOCK = SimpleNamespace(
+    level=V1.level,
+    header_size_bytes=lambda: 1,
+    aggregate_row_bytes=V1.aggregate_row_bytes,
+    cell_aggregates=V1.cell_aggregates,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(ranked=st.lists(_fill_cell, unique=True, max_size=16))
+def test_trie_build_matches_reference_fill(ranked):
+    root = common_ancestor(V1.key_min, V1.key_max)
+    stats = SimpleNamespace(root=root, ranked_cells=lambda: np.array(ranked, dtype=np.int64))
+    row = V1.aggregate_row_bytes()
+    _, sizes = reference_fill(root, ranked, V1.level, 1 << 40, row)
+    # No budget, less than one row, and each exact fit boundary and the
+    # byte below it.
+    budgets = {0, row - 1, 8 + row - 1} | set(sizes) | {b - 1 for b in sizes}
+    for budget in sorted(budgets):
+        cached, used = reference_fill(root, ranked, V1.level, budget, row)
+        trie = AggregateTrie.build(_BYTE_BLOCK, stats, budget)
+        assert list(trie.slot_of) == cached, budget
+        assert list(trie.slot_of.values()) == list(range(len(cached)))
+        assert trie.size_bytes() == used[-1], budget
 
 
 def test_trie_zero_budget_empty():
@@ -282,17 +339,14 @@ def test_trie_rows_match_v1():
 
 
 def test_trie_has_node_on_paths():
-    """Every node on a cached cell's path is allocated, and the bytes
-    charged are the root node, one 4-node child block per allocated
-    parent and one aggregate row per cached cell."""
+    """The bytes charged are the root node, one 4-node child block per
+    parent on a cached cell's path and one aggregate row per cached
+    cell."""
     trie = AggregateTrie.build(V1, _trained_stats(), threshold=0.05)
     assert len(trie) > 0
     blocks = set()
     for cid in trie.slot_of:
-        lvl = cell_level(cid)
-        for l in range(trie.root_level, lvl + 1):
-            assert parent(cid, l) in trie.nodes
-        blocks.update(parent(cid, l) for l in range(trie.root_level, lvl))
+        blocks.update(parent(cid, l) for l in range(trie.root_level, cell_level(cid)))
     rows = len(trie) * V1.aggregate_row_bytes()
     assert trie.size_bytes() == 8 + 32 * len(blocks) + rows
 

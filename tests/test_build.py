@@ -55,7 +55,7 @@ def test_headers_against_duckdb_oracle(taxi_sdf):
     DuckDB over the identical input (catches wrong bitwise cell ids,
     wrong aggregates, wrong ordering)."""
     lsb = 1 << (2 * (MAX_LEVEL - LEVEL))
-    hdr = build_headers_spark(taxi_sdf, LEVEL, VALUE_COLS).drop("offset")
+    hdr = build_headers_spark(taxi_sdf, LEVEL, VALUE_COLS)
     sql = f"""
         SELECT (skey & {-lsb}) | {lsb} AS cell,
                count(*) AS cnt,
@@ -74,10 +74,10 @@ def test_headers_against_duckdb_oracle(taxi_sdf):
 
 
 def test_offsets_are_running_counts(taxi_sdf):
-    hdr = build_headers_spark(taxi_sdf, LEVEL, VALUE_COLS).toPandas()
-    assert (np.diff(hdr["cell"].to_numpy()) > 0).all()
-    expect = np.concatenate([[0], np.cumsum(hdr["cnt"].to_numpy())[:-1]])
-    assert np.array_equal(hdr["offset"].to_numpy(), expect)
+    blk = geoblock_from_spark(taxi_sdf, LEVEL, VALUE_COLS)
+    assert (np.diff(blk.keys) > 0).all()
+    expect = np.concatenate([[0], np.cumsum(blk.counts)[:-1]])
+    assert np.array_equal(blk.offsets, expect)
 
 
 def test_spark_block_equals_driver_block(taxi_sdf):
@@ -109,7 +109,7 @@ def test_spark_block_queries_match_driver_block(taxi_sdf):
 
 
 def test_adaptive_block_from_spark(taxi_sdf):
-    blk = geoblock_from_spark(taxi_sdf, LEVEL, VALUE_COLS, adaptive=True)
+    blk = AdaptiveGeoBlock.from_block(geoblock_from_spark(taxi_sdf, LEVEL, VALUE_COLS))
     assert isinstance(blk, AdaptiveGeoBlock)
     ids, hits = blk.stats.counts()
     assert len(ids) == len(hits) == 0

@@ -7,7 +7,6 @@ from repro.synth_data import NYC_BBOX, nyc_taxi_pandas
 from repro.workloads import (
     DEFAULT_AGGS,
     VALUE_COLS,
-    base_workload,
     neighborhoods,
     selectivity_polygon,
     selectivity_suite,
@@ -54,8 +53,6 @@ def test_manhattan_polygons_smaller():
 
 def test_base_and_skewed_workloads():
     polys = neighborhoods()
-    base = base_workload(polys)
-    assert len(base) == len(polys)
     skew = skewed_workload(polys, frac=0.1, seed=13)
     assert len(skew) == max(1, int(0.1 * len(polys)))
     assert all(any(s is p for p in polys) for s in skew)

@@ -184,7 +184,7 @@ class GeoBlock:
         n = len(cells)
         if n == 0:
             raise ValueError("cannot build a GeoBlock over empty data")
-        starts = np.flatnonzero(np.r_[True, np.diff(cells) != 0])
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
         keys = cells[starts]
         counts = np.diff(np.r_[starts, n]).astype(np.int64)
         aggs = _reduce_segments(

@@ -15,6 +15,8 @@ import pandas as pd
 
 from repro.s2lite.cell import parent, point_keys_from_latlon
 
+CHUNK_ROWS = 1 << 16  # rows per encoder call and per gather in extract_and_reorganize
+
 
 @dataclass
 class RawTable:
@@ -73,14 +75,33 @@ def extract_and_reorganize(
     t0 = time.perf_counter()
     lats = taxi[lat_col].to_numpy(dtype=np.float64)
     lons = taxi[lon_col].to_numpy(dtype=np.float64)
-    keys = np.asarray(point_keys_from_latlon(lats, lons), dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    columns = {
-        c: np.ascontiguousarray(taxi[c].to_numpy(dtype=np.float64)[order])
-        for c in value_cols
-    }
-    lats, lons = lats[order], lons[order]
+    n = len(lats)
+    # One allocation holds the sorted keys, value columns, lats and lons,
+    # and every column-sized step writes into it: a block this large is
+    # mapped and unmapped in one piece, while column-sized temporaries come
+    # from the heap and leave freed holes there that stay resident (only
+    # ``order`` is one). Other dtypes can share it as typed views of its
+    # rows, as the float64 rows here do.
+    block = np.empty((len(value_cols) + 3, n), dtype=np.int64)
+    keys, rows = block[0], block[1:].view(np.float64)
+    # The lons row holds the unsorted keys until they are sorted into
+    # ``keys``. Encoding and gathers go CHUNK_ROWS rows at a time, so their
+    # temporaries are cache-sized.
+    unsorted = block[-1]
+    for i in range(0, n, CHUNK_ROWS):
+        unsorted[i : i + CHUNK_ROWS] = point_keys_from_latlon(
+            lats[i : i + CHUNK_ROWS], lons[i : i + CHUNK_ROWS]
+        )
+    order = np.argsort(unsorted, kind="stable")
+    # "clip" never applies (order is in range); "raise" would buffer a copy.
+    np.take(unsorted, order, out=keys, mode="clip")
+    sources = [taxi[c].to_numpy() for c in value_cols] + [lats, lons]
+    for i in range(0, n, CHUNK_ROWS):
+        part = order[i : i + CHUNK_ROWS]
+        for src, row in zip(sources, rows):
+            row[i : i + CHUNK_ROWS] = src[part]
+    columns = dict(zip(value_cols, rows))
+    lats, lons = rows[-2], rows[-1]
     sort_s = time.perf_counter() - t0
     return RawTable(
         keys=keys, columns=columns, lats=lats, lons=lons, timings={"sort": sort_s}

@@ -20,6 +20,7 @@ Methodology notes (deviations are documented in DESIGN.md section 4):
 """
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -93,19 +94,24 @@ def make_setup(sf: float = BENCH_SF, *, seed: int = 7) -> Setup:
     )
 
 
-def _timed(fn, repeats: int = 1) -> float:
-    """Seconds of the fastest of ``repeats`` calls of ``fn()``."""
-    best = float("inf")
+def _timed(calls: dict, repeats: int = 1) -> dict:
+    """Name -> seconds of the fastest of ``repeats`` calls of
+    ``calls[name]()``. The calls run round-robin, one of each per repeat,
+    so the engines of one table cell share the host's slow phases instead
+    of one engine drawing all of them."""
+    best = dict.fromkeys(calls, float("inf"))
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for name, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
     return best
 
 
-def run_cell_workload(engine, plans, specs, *, batch: bool = True) -> float:
-    """Seconds to answer every query plan (cell-covering engines), best
-    of ``TIMING_REPEATS`` passes.
+def run_cell_workload(engines: dict, plans, specs, *, batch: bool = True) -> dict:
+    """Name -> seconds to answer every query plan on ``engines[name]``
+    (cell-covering engines), best of ``TIMING_REPEATS`` passes, timed
+    round-robin across the engines.
 
     ``batch=False`` plans GeoBlocks queries one cell at a time (the
     paper's per-cell C++ cost structure) — used by the adaptive
@@ -115,17 +121,26 @@ def run_cell_workload(engine, plans, specs, *, batch: bool = True) -> float:
     """
     kw = {} if batch else {"batch": False}  # the baselines take no ``batch``
     return _timed(
-        lambda: [engine.query_cells(cells, specs, **kw) for cells in plans], TIMING_REPEATS
+        {
+            name: partial(_answer_all, engine, plans, specs, kw)
+            for name, engine in engines.items()
+        },
+        TIMING_REPEATS,
     )
 
 
-def _base_skew_ms(name: str, engine, plans, skew_plans) -> dict:
-    """Query-at-a-time ms of the base and the skewed workload (Figs. 9/10)."""
-    base, skew = (
-        run_cell_workload(engine, p, DEFAULT_AGGS, batch=False) * 1e3
-        for p in (plans, skew_plans)
-    )
-    return {f"{name}_base_ms": base, f"{name}_skew_ms": skew}
+def _answer_all(engine, plans, specs, kw) -> list:
+    return [engine.query_cells(cells, specs, **kw) for cells in plans]
+
+
+def _base_skew_ms(engines: dict, plans, skew_plans) -> dict:
+    """Query-at-a-time ms of the base and the skewed workload (Figs. 9/10)
+    for each engine."""
+    times = {
+        part: run_cell_workload(engines, p, DEFAULT_AGGS, batch=False)
+        for part, p in (("base", plans), ("skew", skew_plans))
+    }
+    return {f"{name}_{part}_ms": times[part][name] * 1e3 for name in engines for part in times}
 
 
 def _train_v2(
@@ -225,8 +240,8 @@ def fig1_aggregates(
     for n in agg_counts:
         specs = EXTENDED_AGGS[:n]
         row = {"n_aggregates": n}
-        for name, eng in engines.items():
-            row[f"{name}_ms"] = run_cell_workload(eng, combined, specs) * 1e3
+        for name, s in run_cell_workload(engines, combined, specs).items():
+            row[f"{name}_ms"] = s * 1e3
         rows.append(row)
     return rows
 
@@ -244,15 +259,19 @@ def fig6a_build_times(sf: float = BENCH_SF, *, level: int = DEFAULT_LEVEL) -> li
     raw = extract_and_reorganize(taxi, VALUE_COLS)
     sort_s = raw.timings["sort"]
 
-    blk_s = _timed(lambda: GeoBlock.build_from_raw(raw, level=level))
-    bt_s = _timed(lambda: BTreeEngine(raw, level))
-    qt_s = _timed(lambda: QuadtreeEngine(raw))
-    rt_s = _timed(lambda: RTreeEngine(raw))
+    build_s = _timed(
+        {
+            "Blocks": lambda: GeoBlock.build_from_raw(raw, level=level),
+            "BTree": lambda: BTreeEngine(raw, level),
+            "PHTree": lambda: QuadtreeEngine(raw),
+            "RTree": lambda: RTreeEngine(raw),
+        }
+    )
     rows.append({"algorithm": "BinarySearch", "sort_s": sort_s, "build_s": 0.0})
-    rows.append({"algorithm": "BTree", "sort_s": sort_s, "build_s": bt_s})
-    rows.append({"algorithm": "Blocks", "sort_s": sort_s, "build_s": blk_s})
-    rows.append({"algorithm": "PHTree", "sort_s": 0.0, "build_s": qt_s})
-    rows.append({"algorithm": "RTree", "sort_s": 0.0, "build_s": rt_s})
+    rows.append({"algorithm": "BTree", "sort_s": sort_s, "build_s": build_s["BTree"]})
+    rows.append({"algorithm": "Blocks", "sort_s": sort_s, "build_s": build_s["Blocks"]})
+    rows.append({"algorithm": "PHTree", "sort_s": 0.0, "build_s": build_s["PHTree"]})
+    rows.append({"algorithm": "RTree", "sort_s": 0.0, "build_s": build_s["RTree"]})
     for r in rows:
         r["total_s"] = r["sort_s"] + r["build_s"]
     return rows
@@ -344,8 +363,9 @@ def fig7_selectivity(
     for f in fractions:
         cells, rect = plans[f], rects[f]
         row = {"selectivity": f, "n_cover_cells": len(cells)}
-        for name, call in calls.items():
-            row[f"{name}_ms"] = _timed(lambda: call(cells, rect), repeats) * 1e3
+        times = _timed({name: partial(call, cells, rect) for name, call in calls.items()}, repeats)
+        for name, s in times.items():
+            row[f"{name}_ms"] = s * 1e3
         rows.append(row)
     return rows
 
@@ -371,7 +391,7 @@ def fig8_level_error(sf: float = BENCH_SF, levels=range(13, 22)) -> list:
             for cells, ex in zip(plans, exact)
             if ex > 0
         ]
-        runtime = run_cell_workload(blk, plans, DEFAULT_AGGS)
+        runtime = run_cell_workload({"V1": blk}, plans, DEFAULT_AGGS)["V1"]
         rows.append(
             {
                 "level": level,
@@ -408,8 +428,7 @@ def fig9_skew(
         rows.append(
             {
                 "skew_reps": reps,
-                **_base_skew_ms("V1", v1, plans, skew_plans * reps),
-                **_base_skew_ms("V2", v2, plans, skew_plans * reps),
+                **_base_skew_ms({"V1": v1, "V2": v2}, plans, skew_plans * reps),
             }
         )
     return rows
@@ -432,7 +451,7 @@ def fig10_threshold(
     plans = s.cover_all(level)
     skew_plans = [plans[i] for i in s.skew_indices()]
     v1 = GeoBlock.build_from_raw(s.raw, level=level)
-    v1_ms = _base_skew_ms("V1", v1, plans, skew_plans * skew_reps)
+    v1_ms = _base_skew_ms({"V1": v1}, plans, skew_plans * skew_reps)
     rows = []
     for thr in thresholds:
         v2 = AdaptiveGeoBlock.from_block(v1)
@@ -442,7 +461,7 @@ def fig10_threshold(
                 "threshold": thr,
                 "cached_cells": len(v2.agg_trie),
                 **v1_ms,
-                **_base_skew_ms("V2", v2, plans, skew_plans * skew_reps),
+                **_base_skew_ms({"V2": v2}, plans, skew_plans * skew_reps),
             }
         )
     return rows
@@ -468,32 +487,34 @@ def distributed_compare(
     points = with_spatial_key(nyc_taxi(spark, sf=sf)).cache()
     n_points = points.count()  # materialize
     t_build = _timed(
-        lambda: build_headers_spark(points, level, VALUE_COLS)
-        .write.mode("overwrite")
-        .format("noop")
-        .save()
-    )
+        {
+            "build": lambda: build_headers_spark(points, level, VALUE_COLS)
+            .write.mode("overwrite")
+            .format("noop")
+            .save()
+        }
+    )["build"]
     headers = build_headers_spark(points, level, VALUE_COLS).cache()
     n_headers = headers.count()  # materialize
     ranges = ranges_for_polygons(spark, neighborhoods()[:n_polys], level).cache()
     ranges.count()
-    t_pre = _timed(
-        lambda: query_headers_spark(headers, ranges, DEFAULT_AGGS).collect()
-    )
-    t_fly = _timed(
-        lambda: query_points_spark(points, ranges, DEFAULT_AGGS).collect()
+    t = _timed(
+        {
+            "pre": lambda: query_headers_spark(headers, ranges, DEFAULT_AGGS).collect(),
+            "fly": lambda: query_points_spark(points, ranges, DEFAULT_AGGS).collect(),
+        }
     )
     return [
         {
             "method": "GeoBlocks (pre-agg headers)",
             "rows_scanned": n_headers,
-            "workload_s": t_pre,
+            "workload_s": t["pre"],
             "build_s": t_build,
         },
         {
             "method": "On-the-fly (raw points)",
             "rows_scanned": n_points,
-            "workload_s": t_fly,
+            "workload_s": t["fly"],
             "build_s": 0.0,
         },
     ]

@@ -29,6 +29,25 @@ def taxi_sdf(spark):
     return with_spatial_key(nyc_taxi(spark, sf=SF)).cache()
 
 
+def test_raw_table_matches_stable_argsort():
+    """The chunked, one-allocation extract equals every column reordered by
+    a stable argsort of the keys; SF 0.01 spans two encoding chunks."""
+    taxi = nyc_taxi_pandas(sf=0.01)
+    raw = extract_and_reorganize(taxi, VALUE_COLS)
+    lats, lons = taxi["dropoff_lat"].to_numpy(), taxi["dropoff_lon"].to_numpy()
+    keys = point_keys_from_latlon(lats, lons)
+    order = np.argsort(keys, kind="stable")
+    assert np.array_equal(raw.keys, keys[order])
+    for c in VALUE_COLS:
+        assert raw.columns[c].dtype == np.float64
+        assert np.array_equal(raw.columns[c], taxi[c].to_numpy(dtype=np.float64)[order])
+    assert np.array_equal(raw.lats, lats[order])
+    assert np.array_equal(raw.lons, lons[order])
+    owner = raw.keys.base
+    assert owner is not None and raw.lats.base is owner and raw.lons.base is owner
+    assert all(a.base is owner for a in raw.columns.values())
+
+
 def test_spatial_key_udf_matches_numpy(taxi_sdf):
     pdf = taxi_sdf.select("dropoff_lat", "dropoff_lon", "skey").toPandas()
     expect = point_keys_from_latlon(

@@ -26,6 +26,13 @@ def run_module(monkeypatch):
     return mod
 
 
+def test_timed_runs_calls_round_robin():
+    calls = []
+    best = ex._timed({"a": lambda: calls.append("a"), "b": lambda: calls.append("b")}, 3)
+    assert calls == ["a", "b"] * 3
+    assert set(best) == {"a", "b"} and all(t >= 0 for t in best.values())
+
+
 def test_table1_rows():
     rows = ex.table1_build_times(sf=SF, levels=(13, 15))
     assert [r["level"] for r in rows] == [13, 15]

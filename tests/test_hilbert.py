@@ -4,7 +4,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.s2lite.cell import MAX_LEVEL, _latlon_to_grid, point_keys_from_latlon
 from repro.s2lite.hilbert import d2xy, xy2d
+from repro.synth_data import nyc_taxi_pandas
+
+
+def reference_xy2d(order: int, x, y):
+    """The bit-at-a-time encoder ``xy2d`` replaced: 30 rounds of array
+    ops at level 30. The table-driven encoder must equal it bit for bit."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+    d = np.zeros(x.shape, dtype=np.int64)
+    s = np.int64(1) << (order - 1)
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        # Rotate the quadrant so the sub-curve is in canonical orientation.
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x_f = np.where(flip, s - 1 - x, x)
+        y_f = np.where(flip, s - 1 - y, y)
+        x, y = np.where(swap, y_f, x_f), np.where(swap, x_f, y_f)
+        s >>= 1
+    if d.ndim == 0:
+        return int(d)
+    return d
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_full_grid_matches_reference(order):
+    n = 1 << order
+    xs, ys = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+    assert np.array_equal(xy2d(order, xs, ys), reference_xy2d(order, xs, ys))
+
+
+@pytest.mark.parametrize("order", range(9, 31))
+def test_random_points_match_reference(order):
+    g = np.random.default_rng(order)
+    xs = g.integers(0, 1 << order, 100_000)
+    ys = g.integers(0, 1 << order, 100_000)
+    assert np.array_equal(xy2d(order, xs, ys), reference_xy2d(order, xs, ys))
+
+
+@pytest.mark.parametrize("order", range(1, 32))
+def test_corners_match_reference(order):
+    top = (1 << order) - 1
+    for x in (0, top):
+        for y in (0, top):
+            assert xy2d(order, x, y) == reference_xy2d(order, x, y)
+
+
+def test_scalar_zero_d_and_broadcast_inputs():
+    d = xy2d(17, 70_001, 3)
+    assert type(d) is int and d == reference_xy2d(17, 70_001, 3)
+    d0 = xy2d(17, np.array(70_001), np.array(3))
+    assert type(d0) is int and d0 == d
+    ys = np.arange(0, 1 << 17, 997)
+    got = xy2d(17, 70_001, ys)
+    assert got.shape == ys.shape and got.dtype == np.int64
+    assert np.array_equal(got, reference_xy2d(17, 70_001, ys))
+    assert np.array_equal(xy2d(17, ys, 70_001), reference_xy2d(17, ys, 70_001))
+
+
+def test_point_keys_match_reference():
+    taxi = nyc_taxi_pandas(sf=0.01)
+    lats, lons = taxi["dropoff_lat"].to_numpy(), taxi["dropoff_lon"].to_numpy()
+    x, y = _latlon_to_grid(lats, lons)
+    want = (reference_xy2d(MAX_LEVEL, x, y) << 1) | 1
+    assert np.array_equal(point_keys_from_latlon(lats, lons), want)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])

@@ -11,9 +11,7 @@ cell-covering queries, so its results are identical to the GeoBlock's by
 construction — only the cost differs: it touches every qualifying tuple
 where the GeoBlock touches one header per occupied cell.
 """
-import numpy as np
-
-from repro.core.geoblock import AggAccumulator, checked_cells, gather_ranges, needed_stats
+from repro.core.geoblock import AggAccumulator, cell_ranges, gather_ranges, needed_stats
 from repro.core.raw import RawTable
 from repro.s2lite.covering import exterior_covering
 
@@ -24,6 +22,7 @@ class BinarySearchEngine:
     def __init__(self, raw: RawTable, level: int):
         self.raw = raw
         self.level = level  # covering granularity (same cells as the block)
+        self.lower_bound = raw.keys.searchsorted  # first key >= each probe
 
     def size_bytes(self) -> int:
         """No index: zero overhead beyond the raw data (the paper omits
@@ -33,24 +32,15 @@ class BinarySearchEngine:
     def cover(self, polygon):
         return exterior_covering(polygon, self.level)
 
-    def _tuple_ranges(self, cells):
-        """Raw tuple range ``[i0, i1)`` of each covering cell, all found
-        by one vectorized binary search (``i1 >= i0``)."""
-        cells, lsb = checked_cells(cells, self.level)
-        keys = self.raw.keys
-        return (
-            keys.searchsorted(cells - lsb + 1, side="left"),
-            keys.searchsorted(cells + lsb - 1, side="right"),
-        )
-
     def query_cells(self, cells, specs):
-        """Binary-search the tuple range of every covering cell, then
-        aggregate the raw tuples in between (vectorized over cells with
-        the same segment reductions the GeoBlock uses over headers, so
-        both engines' costs stay proportional to elements scanned)."""
+        """Find the raw tuple range of every covering cell with
+        :attr:`lower_bound` (vectorized over cells), then aggregate the
+        raw tuples in between with the same segment reductions the
+        GeoBlock uses over headers, so both engines' costs stay
+        proportional to elements scanned."""
         cols = needed_stats(specs)
         acc = AggAccumulator(cols)
-        i0, i1 = self._tuple_ranges(cells)
+        i0, i1 = cell_ranges(cells, self.level, self.lower_bound)
         m = i1 > i0
         if m.any():
             idx = gather_ranges(i0[m], i1[m])
@@ -61,7 +51,7 @@ class BinarySearchEngine:
         return self.query_cells(self.cover(polygon), specs)
 
     def count_cells(self, cells) -> int:
-        i0, i1 = self._tuple_ranges(cells)
+        i0, i1 = cell_ranges(cells, self.level, self.lower_bound)
         return int((i1 - i0).sum())
 
     def query_count(self, polygon) -> int:

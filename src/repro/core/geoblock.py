@@ -38,7 +38,7 @@ from repro.core.raw import RawTable
 from repro.s2lite.cell import MAX_LEVEL
 from repro.s2lite.covering import exterior_covering
 
-__all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "checked_cells", "needed_stats"]
+__all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "cell_ranges", "needed_stats"]
 
 _STATS = ("min", "max", "sum")
 _NO_SLOTS = np.empty(0, dtype=np.int64)
@@ -70,6 +70,17 @@ def checked_cells(cells, level: int):
     if lsb.min(initial=1 << 62) < 1 << (2 * (MAX_LEVEL - level)):
         raise ValueError(f"query cells must be at or above the block level {level}")
     return cells, lsb
+
+
+def cell_ranges(cells, level: int, lower_bound):
+    """Range ``[i0, i1)`` of the keys under each query cell in a sorted
+    key array (``i1 >= i0``), after :func:`checked_cells`.
+    ``lower_bound(probes)`` gives the position of the first key >= each
+    probe: the GeoBlock and BinarySearch pass ``keys.searchsorted``, BTree
+    its B+tree descent. A cell's descendants are the keys in
+    ``[cell - lsb + 1, cell + lsb)``."""
+    cells, lsb = checked_cells(cells, level)
+    return lower_bound(cells - lsb + 1), lower_bound(cells + lsb)
 
 
 def needed_stats(specs):
@@ -221,11 +232,11 @@ class GeoBlock:
         return self.header_size_bytes()
 
     # -- covering ---------------------------------------------------------
-    def cover(self, polygon, min_level: int = 0):
+    def cover(self, polygon):
         """Exterior covering clamped to the block level (the paper
         requires the covering's max level to be at most the CellBlock
         level)."""
-        return exterior_covering(polygon, self.level, min_level=min_level)
+        return exterior_covering(polygon, self.level)
 
     # -- query kernel: plan, then execute ----------------------------------
     def _ranges(self, cells, batch: bool = True):
@@ -236,14 +247,12 @@ class GeoBlock:
         otherwise each cell gets the block-wide pre-query check and its
         own two binary searches, the paper's per-cell cost structure.
         """
-        cells, lsb = checked_cells(cells, self.level)
-        rmin, rmax = cells - lsb + 1, cells + lsb - 1
         if batch:
-            i0 = self.keys.searchsorted(rmin, side="left")
-            i1 = self.keys.searchsorted(rmax, side="right")
+            i0, i1 = cell_ranges(cells, self.level, self.keys.searchsorted)
         else:
+            cells, lsb = checked_cells(cells, self.level)
             keys, i0, i1 = self.keys, [], []
-            for lo, hi in zip(rmin.tolist(), rmax.tolist()):
+            for lo, hi in zip((cells - lsb + 1).tolist(), (cells + lsb - 1).tolist()):
                 if hi >= self.key_min and lo <= self.key_max:
                     i0.append(keys.searchsorted(lo, side="left"))
                     i1.append(keys.searchsorted(hi, side="right"))
@@ -309,9 +318,7 @@ class GeoBlock:
             c: {"min": np.full(n, np.inf), "max": np.full(n, -np.inf), "sum": np.zeros(n)}
             for c in self.value_cols
         }
-        lsb = cells & -cells
-        i0 = self.keys.searchsorted(cells - lsb + 1, side="left")
-        i1 = self.keys.searchsorted(cells + lsb - 1, side="right")
+        i0, i1 = cell_ranges(cells, self.level, self.keys.searchsorted)
         full = i1 > i0
         if full.any():
             lens = (i1 - i0)[full]

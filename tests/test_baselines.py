@@ -12,7 +12,7 @@ from repro.baselines.binary_search import BinarySearchEngine
 from repro.baselines.btree import BPlusTree, BTreeEngine
 from repro.baselines.quadtree import PointQuadtree, QuadtreeEngine
 from repro.baselines.rtree import RTreeEngine, STRTree
-from repro.core.geoblock import GeoBlock
+from repro.core.geoblock import GeoBlock, cell_ranges
 from repro.core.raw import extract_and_reorganize
 from repro.exact import exact_mask
 from repro.s2lite.polygon import Rect
@@ -32,9 +32,17 @@ HOODS = neighborhoods()
 
 # -- B+tree index ----------------------------------------------------------
 
+def assert_lower_bounds(keys, probes):
+    """The tree's lower bounds of ``probes``, and of every key at a node
+    boundary and its neighbours, equal ``searchsorted``'s elementwise."""
+    bounds = np.concatenate([keys[::64], keys[63::64]])  # 64 keys per node
+    probes = np.concatenate([np.asarray(probes, dtype=np.int64), bounds - 1, bounds, bounds + 1])
+    got = BPlusTree(keys).lower_bound(probes)
+    np.testing.assert_array_equal(got, np.searchsorted(keys, probes, side="left"))
+
+
 def test_bplustree_lower_bound_matches_searchsorted():
     g = np.random.default_rng(0)
-    tree = BPlusTree(RAW.keys)
     probes = np.concatenate(
         [
             g.choice(RAW.keys, 50),  # existing keys
@@ -42,8 +50,7 @@ def test_bplustree_lower_bound_matches_searchsorted():
             [RAW.keys[0] - 10, RAW.keys[-1] + 10],  # out of range
         ]
     )
-    for k in probes:
-        assert tree.lower_bound(int(k)) == np.searchsorted(RAW.keys, k, side="left")
+    assert_lower_bounds(RAW.keys, probes)
 
 
 def test_bplustree_height_logarithmic():
@@ -52,11 +59,9 @@ def test_bplustree_height_logarithmic():
 
 
 def test_bplustree_small_inputs():
-    for n in (1, 2, 63, 64, 65, 4097):
+    for n in (1, 2, 63, 64, 65, 4096, 4097):
         keys = np.sort(np.random.default_rng(n).integers(0, 10**6, n))
-        tree = BPlusTree(keys)
-        for k in (int(keys[0]), int(keys[-1]), int(keys[n // 2]), -1, 10**7):
-            assert tree.lower_bound(k) == np.searchsorted(keys, k, side="left")
+        assert_lower_bounds(keys, [keys[0], keys[-1], keys[n // 2], -1, 10**7])
 
 
 def test_bplustree_rejects_empty():
@@ -66,9 +71,17 @@ def test_bplustree_rejects_empty():
 
 def test_bplustree_duplicate_keys():
     keys = np.sort(np.repeat(np.arange(100, dtype=np.int64), 70))
-    tree = BPlusTree(keys)
-    for k in (0, 1, 50, 99):
-        assert tree.lower_bound(k) == np.searchsorted(keys, k, side="left")
+    assert_lower_bounds(keys, [0, 1, 50, 99])
+
+
+def test_cell_ranges_include_first_and_last_leaf():
+    # A cell's first and last level-30 keys, between the neighbours' keys.
+    cell = int(BLOCK.keys[len(BLOCK.keys) // 2])
+    lsb = cell & -cell
+    keys = np.array([cell - lsb - 1, cell - lsb + 1, cell + lsb - 1, cell + lsb + 1])
+    for lower_bound in (keys.searchsorted, BPlusTree(keys).lower_bound):
+        i0, i1 = cell_ranges([cell], LEVEL, lower_bound)
+        assert (i0.tolist(), i1.tolist()) == ([1], [3])
 
 
 # -- BinarySearch / BTree vs GeoBlock (identical results) ------------------

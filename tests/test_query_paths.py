@@ -1,8 +1,8 @@
 """Every execution path of a cell query returns one answer.
 
-V1 and V2, each in batch and query-at-a-time mode, must match the
-BinarySearch baseline on the same cells, and the specialized COUNT must
-equal the SELECT count. Cells finer than the block level hold no
+V1 and V2, each in batch and query-at-a-time mode, and BTree must match
+the BinarySearch baseline on the same cells, and the specialized COUNT
+must equal the SELECT count. Cells finer than the block level hold no
 CellBlock of their own, so every path must reject them. Edge polygons
 (far outside the data, a collinear sliver, edges on cell boundaries) get
 one answer from V1, V2, COUNT, BinarySearch and BTree.
@@ -72,9 +72,10 @@ def test_every_path_gives_one_answer(threshold):
     ]
     for cells in PLANS + edge:
         want = BS.query_cells(cells, DEFAULT_AGGS)
-        for engine in (V1, v2):
-            for batch in (True, False):
-                assert_same(engine.query_cells(cells, DEFAULT_AGGS, batch=batch), want)
+        for engine in (V1, v2, BT):
+            modes = [{}] if engine is BT else [{"batch": True}, {"batch": False}]
+            for kw in modes:
+                assert_same(engine.query_cells(cells, DEFAULT_AGGS, **kw), want)
             assert engine.count_cells(cells) == want[COUNT]
 
 

@@ -9,7 +9,8 @@ process, each covering cell is answered by *probing the tree for the
 first child* and then *scanning the sorted raw data until no further
 tuple qualifies*. Here the engine is BinarySearch with the tree's lower
 bound in place of ``searchsorted``: two descents per cell, one for the
-scan start and one at the cell's range end. The scan itself is the
+scan start and one at the cell's range end, all made together in one
+``lower_bound`` call per query. The scan itself is the
 aggregation shared with BinarySearch, which touches every tuple of the
 range anyway, so the end descent only bounds it. BTree and BinarySearch
 thus differ only in how a tuple range is located, exactly as in the

@@ -78,9 +78,11 @@ def cell_ranges(cells, level: int, lower_bound):
     ``lower_bound(probes)`` gives the position of the first key >= each
     probe: the GeoBlock and BinarySearch pass ``keys.searchsorted``, BTree
     its B+tree descent. A cell's descendants are the keys in
-    ``[cell - lsb + 1, cell + lsb)``."""
+    ``[cell - lsb + 1, cell + lsb)``; both ends are found in one call, so
+    a fixed cost per call (BTree's) is paid once per query."""
     cells, lsb = checked_cells(cells, level)
-    return lower_bound(cells - lsb + 1), lower_bound(cells + lsb)
+    bounds = lower_bound(np.concatenate([cells - lsb + 1, cells + lsb]))
+    return bounds[: len(cells)], bounds[len(cells) :]
 
 
 def needed_stats(specs):

@@ -13,7 +13,14 @@ Cells in a covering are at levels ``min_level..max_level`` — a cell fully
 inside the polygon is emitted as soon as it is at least ``min_level``
 deep, which is what keeps covering sizes proportional to the polygon
 *perimeter* (interior is covered by coarse cells) rather than its area.
+
+The descent tests geometry only where a cell's answer can change: above
+the fit level, where no cell fits inside the polygon's bbox, every cell
+meeting the bbox splits with no polygon test; from the fit level on, each
+level is classified by one :meth:`Polygon.classify_rects` call.
 """
+import math
+
 import numpy as np
 
 from repro.s2lite.cell import MAX_LEVEL, cell_id_from_quad, parent
@@ -75,29 +82,51 @@ def _root_quad(bbox: Rect, max_level: int):
     return x, y, level
 
 
+def _fit_level(bbox: Rect) -> int:
+    """A level no deeper than the first at which a cell fits inside
+    ``bbox`` in both lon and lat (``MAX_LEVEL`` if none does).
+
+    A cell inside the polygon has its corners inside, so inside the bbox:
+    no cell above the fit level can be contained. The level is taken one
+    early, so that rounding in the log can never make it late.
+    """
+    span = min(bbox.width / 360.0, bbox.height / 180.0)
+    if not span > 0.0:
+        return MAX_LEVEL
+    return min(MAX_LEVEL, max(0, math.ceil(-math.log2(span)) - 1))
+
+
 def _cover(poly: Polygon, max_level: int, min_level: int, interior: bool):
-    """Level-synchronous quadtree descent: each level's frontier is
-    classified in one :meth:`Polygon.classify_rects` call; cells inside the
-    polygon (at ``min_level`` or finer) are emitted, cells at ``max_level``
-    too (exterior only), and the remaining intersecting cells split into
+    """Level-synchronous quadtree descent. Above the fit level (see
+    :func:`_fit_level`) no cell can be inside the polygon, so every cell
+    that meets its bbox splits with no polygon test. From the fit level on,
+    each level's frontier is classified in one
+    :meth:`Polygon.classify_rects` call; cells inside the polygon (at
+    ``min_level`` or finer) are emitted, cells at ``max_level`` too
+    (exterior only), and the remaining intersecting cells split into
     their 4 children."""
     if not 0 <= max_level <= MAX_LEVEL:
         raise ValueError(f"max_level {max_level} out of range")
     if min_level > max_level:
         raise ValueError("min_level must be <= max_level")
     x, y, level = _root_quad(poly.bbox, max_level)
+    fit = min(_fit_level(poly.bbox), max_level)
     xs = np.array([x], dtype=np.int64)
     ys = np.array([y], dtype=np.int64)
     found = []  # (xs, ys, level) of the cells emitted at each level
     while xs.size:
-        hit, inside = poly.classify_rects(*quad_bounds(xs, ys, level))
-        done = hit & inside if level >= min_level else np.zeros_like(hit)
-        if level == max_level:
-            keep = done if interior else hit
-            found.append((xs[keep], ys[keep], level))
-            break
-        found.append((xs[done], ys[done], level))
-        split = hit & ~done
+        bounds = quad_bounds(xs, ys, level)
+        if level < fit:
+            split = poly.meets_bbox(*bounds)
+        else:
+            hit, inside = poly.classify_rects(*bounds)
+            done = hit & inside if level >= min_level else np.zeros_like(hit)
+            if level == max_level:
+                keep = done if interior else hit
+                found.append((xs[keep], ys[keep], level))
+                break
+            found.append((xs[done], ys[done], level))
+            split = hit & ~done
         xs = ((2 * xs[split])[:, None] + _DX).ravel()
         ys = ((2 * ys[split])[:, None] + _DY).ravel()
         level += 1

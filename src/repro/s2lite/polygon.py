@@ -2,7 +2,8 @@
 
 Implements exactly the predicates the covering algorithm and baselines
 need: point-in-polygon (ray casting, vectorized), rectangle/polygon
-intersection and containment, and the interior-rectangle extraction the
+intersection and containment (corners by ray casting, edges by a
+separating-axis test), and the interior-rectangle extraction the
 paper uses to query the PHTree/RTree baselines ("we used S2 to get the
 interior rectangle of the query polygon").
 
@@ -69,32 +70,6 @@ def _orient(ax, ay, bx, by, cx, cy):
     return np.sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
-def _on_seg(ax, ay, bx, by, cx, cy):
-    """Whether ``c`` lies in the closed bbox of segment ``ab``, elementwise."""
-    return (
-        (np.minimum(ax, bx) <= cx)
-        & (cx <= np.maximum(ax, bx))
-        & (np.minimum(ay, by) <= cy)
-        & (cy <= np.maximum(ay, by))
-    )
-
-
-def _segments_intersect(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
-    """Proper-or-touching intersection of segments ``p1p2`` and ``q1q2``,
-    elementwise over broadcast coordinate arrays."""
-    o1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    o2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
-    o3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    o4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    return (
-        ((o1 != o2) & (o3 != o4))
-        | ((o1 == 0) & _on_seg(p1x, p1y, p2x, p2y, q1x, q1y))
-        | ((o2 == 0) & _on_seg(p1x, p1y, p2x, p2y, q2x, q2y))
-        | ((o3 == 0) & _on_seg(q1x, q1y, q2x, q2y, p1x, p1y))
-        | ((o4 == 0) & _on_seg(q1x, q1y, q2x, q2y, p2x, p2y))
-    )
-
-
 class Polygon:
     """A simple polygon ring with the predicates GeoBlocks needs."""
 
@@ -151,6 +126,16 @@ class Polygon:
         return bool(self.contains_points(np.array([lon]), np.array([lat]))[0])
 
     # -- rectangle predicates --------------------------------------------
+    def meets_bbox(self, lon_lo, lat_lo, lon_hi, lat_hi):
+        """Per closed rect (1-D arrays of bounds): does it meet the
+        polygon's closed bbox? The first test :meth:`classify_rects`
+        makes, and the only one the covering descent makes on levels
+        whose cells are too large to fit inside the bbox."""
+        b = self.bbox
+        return ~(
+            (lon_lo > b.lon_hi) | (lon_hi < b.lon_lo) | (lat_lo > b.lat_hi) | (lat_hi < b.lat_lo)
+        )
+
     def classify_rects(self, lon_lo, lat_lo, lon_hi, lat_hi):
         """``(intersects, contains)`` boolean arrays for many closed rects,
         given as 1-D arrays of their bounds.
@@ -164,10 +149,7 @@ class Polygon:
         lon_lo, lat_lo, lon_hi, lat_hi = (
             np.asarray(a, dtype=np.float64) for a in (lon_lo, lat_lo, lon_hi, lat_hi)
         )
-        b = self.bbox
-        in_bbox = ~(
-            (lon_lo > b.lon_hi) | (lon_hi < b.lon_lo) | (lat_lo > b.lat_hi) | (lat_hi < b.lat_lo)
-        )
+        in_bbox = self.meets_bbox(lon_lo, lat_lo, lon_hi, lat_hi)
         corners_in = self.contains_points(
             np.concatenate([lon_lo, lon_hi, lon_hi, lon_lo]),
             np.concatenate([lat_lo, lat_lo, lat_hi, lat_hi]),
@@ -179,10 +161,14 @@ class Polygon:
         """Per rect: does any polygon edge touch it anywhere?
 
         An edge touches a rect if an endpoint lies in it, or if the edge's
-        bbox meets the rect and the edge intersects one of its 4 sides.
-        Every endpoint is some vertex, so the endpoint test is one
-        vertex-in-rect test; the side tests run only on the (edge, rect)
-        pairs that pass the bbox reject, for rects no vertex touches.
+        bbox meets the rect and the edge's line does not pass strictly
+        beside all 4 corners. That is the separating-axis test of a
+        segment and a rect (the bbox test covers the rect's two axes, the
+        corner orientations the edge's normal); its float orientations
+        are exact for axis-parallel edges. Every endpoint
+        is some vertex, so the endpoint test is one vertex-in-rect test;
+        the orientations are computed only for the (edge, rect) pairs
+        that pass the bbox reject, for rects no vertex touches.
         """
         x1, y1, x2, y2 = self._edges
         touched = (
@@ -194,15 +180,12 @@ class Polygon:
         )
         e, r = np.nonzero(near)
         if e.size:
-            # Rect corners c0..c3 = (lo, lo), (hi, lo), (hi, hi), (lo, hi);
-            # side k runs from c_k to c_(k+1) mod 4.
             xl, yl, xh, yh = lon_lo[r], lat_lo[r], lon_hi[r], lat_hi[r]
-            crosses = _segments_intersect(
+            side = _orient(
                 x1[e, 0], y1[e, 0], x2[e, 0], y2[e, 0],
                 np.stack([xl, xh, xh, xl]), np.stack([yl, yl, yh, yh]),
-                np.stack([xh, xh, xl, xl]), np.stack([yl, yh, yh, yl]),
-            ).any(axis=0)
-            touched[r[crosses]] = True
+            ).sum(axis=0)
+            touched[r[np.abs(side) < 4]] = True
         return touched
 
     def _classify_rect(self, rect: Rect):

@@ -20,7 +20,13 @@ from repro.s2lite.cell import (
     range_max,
     range_min,
 )
-from repro.s2lite.covering import _root_quad, exterior_covering, interior_covering, quad_bounds
+from repro.s2lite.covering import (
+    _fit_level,
+    _root_quad,
+    exterior_covering,
+    interior_covering,
+    quad_bounds,
+)
 from repro.s2lite.polygon import Polygon, Rect
 from repro.synth_data import NYC_BBOX, nyc_taxi_pandas
 from repro.workloads import neighborhoods, selectivity_suite
@@ -352,9 +358,11 @@ def test_selectivity_coverings_match_reference(level, min_levels):
 
 
 @st.composite
-def nyc_rings(draw):
+def nyc_rings(draw, max_aspect=1.0):
     """Jittered convex (points on an ellipse) or star (jittered radii)
-    rings inside the NYC bbox; vertices sorted by angle keep them simple."""
+    rings inside the NYC bbox; vertices sorted by angle keep them simple.
+    With ``max_aspect`` > 1, one axis (lon or lat, drawn) is also squeezed
+    by an aspect ratio drawn up to ``max_aspect``."""
     lon_lo, lat_lo, lon_hi, lat_hi = NYC_BBOX
     r = draw(st.floats(1e-4, 0.03))
     lon = draw(st.floats(lon_lo + r, lon_hi - r))
@@ -365,14 +373,29 @@ def nyc_rings(draw):
     )
     star = draw(st.booleans())
     radii = [r * draw(st.floats(0.2, 1.0)) if star else r for _ in angles]
+    sx, sy = 1.0, 0.75
+    if max_aspect > 1:
+        aspect = draw(st.floats(1.0, max_aspect))
+        if draw(st.booleans()):
+            sx /= aspect
+        else:
+            sy /= aspect
     return Polygon(
-        [(lon + ri * np.cos(a), lat + 0.75 * ri * np.sin(a)) for ri, a in zip(radii, angles)]
+        [(lon + sx * ri * np.cos(a), lat + sy * ri * np.sin(a)) for ri, a in zip(radii, angles)]
     )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(poly=nyc_rings(), level=st.integers(10, 17), min_level=st.sampled_from([0, 12]))
 def test_generated_rings_match_reference(poly, level, min_level):
+    assert_matches_reference(poly, level, min(min_level, level))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(poly=nyc_rings(max_aspect=200.0), level=st.integers(10, 17), min_level=st.sampled_from([0, 12]))
+def test_elongated_generated_rings_match_reference(poly, level, min_level):
+    """Up to 200:1 in either orientation: the fit level follows the short
+    side, so the bbox-only levels reach far below the root."""
     assert_matches_reference(poly, level, min(min_level, level))
 
 
@@ -406,6 +429,23 @@ def test_rect_predicates_match_reference():
     case; check them against the scalar reference on a concave ring,
     including rects that share edges, corners and vertices with it."""
     cshape = Polygon([(0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (4, 3), (4, 4), (0, 4)])
+    _check_rect_predicates(cshape)
+
+
+def test_rect_predicates_match_reference_slanted():
+    """A concave ring with slanted edges and vertices on the 0.5 lattice:
+    the rects' lattice corners fall exactly on edge lines (``o == 0`` in
+    the separating-axis edge test) and on both sides of them."""
+    arrow = Polygon([(0, 0), (4, 1), (2.5, 2), (4, 3.5), (0.5, 4), (1.5, 2)])
+    _check_rect_predicates(arrow)
+    # Lattice corners on a slanted edge's line: (2, 0.5) on (0, 0)-(4, 1),
+    # (3, 2.5) on (2.5, 2)-(4, 3.5).
+    assert arrow.intersects_rect(Rect(2.0, -0.5, 2.5, 0.5))
+    assert arrow.intersects_rect(Rect(3.0, 2.5, 3.5, 3.0))
+    assert not arrow.contains_rect(Rect(2.5, 2.5, 3.0, 3.0))
+
+
+def _check_rect_predicates(ring):
     g = np.random.default_rng(0)
     # Bounds on the ring's own coordinates and halfway between them, plus
     # degenerate (point) rects.
@@ -416,11 +456,11 @@ def test_rect_predicates_match_reference():
     lon_lo, lon_hi = np.concatenate([lon_lo, px]), np.concatenate([lon_hi, px])
     lat_lo, lat_hi = np.concatenate([lat_lo, py]), np.concatenate([lat_hi, py])
     rects = [Rect(*r) for r in zip(lon_lo, lat_lo, lon_hi, lat_hi)]
-    want_hit = [_ref_intersects_rect(cshape, r) for r in rects]
-    want_in = [_ref_contains_rect(cshape, r) for r in rects]
-    assert [cshape.intersects_rect(r) for r in rects] == want_hit
-    assert [cshape.contains_rect(r) for r in rects] == want_in
-    hit, inside = cshape.classify_rects(lon_lo, lat_lo, lon_hi, lat_hi)
+    want_hit = [_ref_intersects_rect(ring, r) for r in rects]
+    want_in = [_ref_contains_rect(ring, r) for r in rects]
+    assert [ring.intersects_rect(r) for r in rects] == want_hit
+    assert [ring.contains_rect(r) for r in rects] == want_in
+    hit, inside = ring.classify_rects(lon_lo, lat_lo, lon_hi, lat_hi)
     assert hit.tolist() == want_hit
     assert inside.tolist() == want_in
     assert any(want_hit) and not all(want_hit) and any(want_in)
@@ -467,3 +507,99 @@ def test_collinear_sliver_ring(ring):
         assert_matches_reference(sliver, level)
         assert exterior_covering(sliver, level)
         assert interior_covering(sliver, level) == []
+
+
+# -- fit level -------------------------------------------------------------
+
+
+def test_fit_level_is_at_most_one_early():
+    """The fit level is never below the first level at which a cell fits
+    inside the bbox in both axes (which would skip a cell that can be
+    contained) and at most one level above it; checked in exact
+    arithmetic."""
+    from fractions import Fraction
+
+    bboxes = [p.bbox for p in neighborhoods(seed=11)]
+    for level in (3, 9, 15, 20, 28):
+        for dx, dy in ((1, 1), (1, 3), (200, 1), (1, 200), (7, 5)):
+            lo_x, lo_y, _, _ = quad_bounds(37, 21, level)
+            hi_x, hi_y, _, _ = quad_bounds(36 + dx, 20 + dy, level)
+            bboxes.append(Rect(lo_x, lo_y, hi_x, hi_y))
+            bboxes.append(Rect(lo_x, lo_y, np.nextafter(hi_x, -1e9), hi_y))
+    for bbox in bboxes:
+        w = Fraction(bbox.lon_hi) - Fraction(bbox.lon_lo)
+        h = Fraction(bbox.lat_hi) - Fraction(bbox.lat_lo)
+        first = next(
+            (lv for lv in range(MAX_LEVEL + 1) if Fraction(360, 1 << lv) <= w and Fraction(180, 1 << lv) <= h),
+            MAX_LEVEL,
+        )
+        assert first - 1 <= _fit_level(bbox) <= first, bbox
+    for degenerate in (Rect(1.0, 2.0, 1.0, 3.0), Rect(1.0, 2.0, 3.0, 2.0), Rect(1.0, 2.0, 1.0, 2.0)):
+        assert _fit_level(degenerate) == MAX_LEVEL
+
+
+@pytest.mark.parametrize("aspect", [50, 200])
+@pytest.mark.parametrize("tall", [False, True])
+def test_elongated_ring(aspect, tall):
+    """Slanted slivers 50:1 and 200:1, lying and standing: the fit level
+    follows the short side, many levels below the root."""
+    long_side, short = 0.04, 0.04 / aspect
+    ring = [(0.0, 0.0), (long_side, 0.3 * short), (long_side, 1.3 * short), (0.0, short)]
+    if tall:
+        ring = [(y, x) for x, y in ring]
+    poly = Polygon([(-73.99 + x, 40.74 + y) for x, y in ring])
+    assert _fit_level(poly.bbox) - _root_quad(poly.bbox, MAX_LEVEL)[2] >= 5
+    for level in (13, 16, 18):
+        for min_level in (0, 12):
+            assert_matches_reference(poly, level, min_level)
+    assert exterior_covering(poly, 18)
+
+
+def test_one_cell_ring():
+    """A ring that is exactly one grid cell: its first fitting level is the
+    cell's own level, which is also the root's. The predicates are
+    closed, so the edges on the cell's boundary keep it out of its own
+    interior covering."""
+    cell = Polygon([grid_point(0, 0), grid_point(1, 0), grid_point(1, 1), grid_point(0, 1)])
+    assert GRID_LEVEL - 1 <= _fit_level(cell.bbox) <= GRID_LEVEL
+    assert _root_quad(cell.bbox, MAX_LEVEL) == (GRID_X, GRID_Y, GRID_LEVEL)
+    for level in (13, 14, 15, 16, 17):
+        for min_level in (0, 12, min(level, 15)):
+            assert_matches_reference(cell, level, min_level)
+    assert exterior_covering(cell, GRID_LEVEL) == [cell_id_from_quad(GRID_X, GRID_Y, GRID_LEVEL)]
+    assert interior_covering(cell, GRID_LEVEL) == []
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        [(-0.4, 10.0), (0.3, 10.1), (0.2, 10.6), (-0.3, 10.5)],  # across lon 0
+        [(20.0, -0.3), (20.6, -0.2), (20.5, 0.4), (20.1, 0.2)],  # across lat 0
+        [(-0.2, -0.3), (0.3, -0.1), (0.1, 0.2), (-0.1, 0.3)],  # across both
+    ],
+)
+def test_ring_across_the_first_split(ring):
+    """A bbox across lon 0 or lat 0 has the root at level 0, so every
+    level down to the fit level is bbox-only."""
+    poly = Polygon(ring)
+    assert _root_quad(poly.bbox, MAX_LEVEL)[2] == 0
+    assert _fit_level(poly.bbox) >= 7
+    for level in (6, 9, 11):
+        for min_level in (0, 8):
+            assert_matches_reference(poly, level, min(min_level, level))
+
+
+def test_min_and_max_level_around_the_fit_level():
+    """``min_level`` below the first classified level (nothing is emitted
+    before it) and ``max_level`` above it (the descent classifies only
+    its last level)."""
+    across = Polygon([(-0.2, -0.3), (0.3, -0.1), (0.1, 0.2), (-0.1, 0.3)])
+    for poly in (HOOD, across):
+        fit = _fit_level(poly.bbox)
+        for min_level in (fit + 1, fit + 3):
+            assert_matches_reference(poly, fit + 3, min_level)
+    fit = _fit_level(across.bbox)
+    assert _root_quad(across.bbox, MAX_LEVEL)[2] < fit - 2
+    for max_level in (fit - 1, fit - 2):
+        for min_level in (0, max_level):
+            assert_matches_reference(across, max_level, min_level)

@@ -11,7 +11,13 @@ cell-covering queries, so its results are identical to the GeoBlock's by
 construction — only the cost differs: it touches every qualifying tuple
 where the GeoBlock touches one header per occupied cell.
 """
-from repro.core.geoblock import AggAccumulator, cell_ranges, gather_ranges, needed_stats
+from repro.core.geoblock import (
+    AggAccumulator,
+    cell_ranges,
+    gather_ranges,
+    needed_stats,
+    normalized_cells,
+)
 from repro.core.raw import RawTable
 from repro.s2lite.covering import exterior_covering
 
@@ -40,10 +46,9 @@ class BinarySearchEngine:
         proportional to elements scanned."""
         cols = needed_stats(specs)
         acc = AggAccumulator(cols)
-        i0, i1 = cell_ranges(cells, self.level, self.lower_bound)
-        m = i1 > i0
-        if m.any():
-            idx = gather_ranges(i0[m], i1[m])
+        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.level, self.lower_bound)
+        idx = gather_ranges(i0, i1)
+        if len(idx):
             acc.combine(len(idx), self.raw.values(cols, idx))
         return acc.finalize(specs)
 
@@ -51,7 +56,7 @@ class BinarySearchEngine:
         return self.query_cells(self.cover(polygon), specs)
 
     def count_cells(self, cells) -> int:
-        i0, i1 = cell_ranges(cells, self.level, self.lower_bound)
+        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.level, self.lower_bound)
         return int((i1 - i0).sum())
 
     def query_count(self, polygon) -> int:

@@ -4,10 +4,10 @@ The paper stores the cache in-place between the GeoBlock header and the
 raw data: a compact 4-ary trie (two 32-bit offsets per node, children
 always allocated four-at-a-time) pointing into an aggregate store, with
 total size capped at a user threshold expressed as a fraction of the
-GeoBlock header size. We keep the cached cells as sorted id arrays and
-their aggregates as arrays laid out like the header, but reproduce the
-paper's *byte accounting* exactly, because it decides which cells fit
-under a given threshold (the measured quantity in Figures 9/10).
+GeoBlock header size. We keep the cached cells as id arrays giving each
+its slot ``j``; the V2 block holds its aggregate as header row
+``n_cells + j``. The paper's *byte accounting* is reproduced exactly: it
+decides which cells fit under a threshold (measured in Figures 9/10).
 
 "We can simply insert the most relevant unaggregated cell until the
 reserved area is filled": in the StatsTrie's rank order, the cache is
@@ -65,15 +65,13 @@ class AggregateTrie:
         # that no longer fits (strict order guarantee).
         k = int(used.searchsorted(room, side="right"))
         trie.used_bytes = _NODE_BYTES + (int(used[k - 1]) if k else 0)
-        trie._finalize(block, ranked[:k])
+        trie._finalize(ranked[:k])
         return trie
 
-    def _finalize(self, block, ids) -> None:
-        """Aggregate the cached cells into contiguous arrays (the paper's
-        aggregate storage, addressed by trie offsets), laid out like the
-        GeoBlock's header arrays so one executor reduces both."""
+    def _finalize(self, ids) -> None:
+        """Index the cached cells ``ids``, given in slot order."""
+        self.ids = ids
         self.slot_of = dict(zip(ids.tolist(), range(len(ids))))  # cell id -> slot
-        self.counts, self.aggs = block.cell_aggregates(ids)
         # Sorted-id views for batch probes: searchsorted membership is
         # the vectorized equivalent of the paper's per-cell trie descent.
         self.sorted_slots = np.argsort(ids)
@@ -90,24 +88,13 @@ class AggregateTrie:
 
     # -- queries ----------------------------------------------------------
     def get(self, cid: int):
-        """Cached aggregate row of ``cid`` as ``(count, mins, maxs, sums)``
-        of per-column dicts (an empty cell has no min or max), or None if
-        ``cid`` is not cached."""
-        j = self.slot_of.get(int(cid))
-        if j is None:
-            return None
-        empty = self.counts[j] == 0
-        return (
-            int(self.counts[j]),
-            {c: None if empty else float(a["min"][j]) for c, a in self.aggs.items()},
-            {c: None if empty else float(a["max"][j]) for c, a in self.aggs.items()},
-            {c: float(a["sum"][j]) for c, a in self.aggs.items()},
-        )
+        """Slot of ``cid``, or None if ``cid`` is not cached."""
+        return self.slot_of.get(int(cid))
 
     def lookup(self, cells, *, batch: bool = True):
         """Resolve query cells against the cache (the paper's Figure 5).
 
-        Returns the storage slots of every cached cell in ``cells`` and
+        Returns the slots of every cached cell in ``cells`` and
         of the cached direct children of uncached ones, and the cells
         left for the header scan: the other uncached cells and the
         uncached children. ``batch`` probes all cells with one

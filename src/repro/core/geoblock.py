@@ -10,20 +10,20 @@ pre-query check.
 
 Every query runs in two steps, plan then execute:
 
-- **Plan.** A plan is a pair: AggregateTrie slots, and header ranges
-  ``[i0, i1)``. V1 plans each covering cell with an upper-bound binary
-  search for its first and last contained CellBlock Header. V2
-  (adaptive) records the covering in a
-  :class:`~repro.core.stats_trie.StatsTrie`; once an
-  :class:`~repro.core.agg_trie.AggregateTrie` has been built, a cached
-  cell becomes a slot, an uncached cell with cached *direct children*
-  becomes their slots plus the children left over, and every other cell
-  is planned as in V1 (Figure 5 of the paper). Query cells must be at or
-  above the block level; finer cells are rejected.
-- **Execute.** One executor serves every plan: one reduction over the
-  cached aggregates at the slots and one over the headers in the ranges.
-  Cost is proportional to the number of CellBlocks scanned, as in the
-  paper (gathered reductions, deliberately not prefix sums).
+- **Plan.** Query cells are normalized first: sorted, with repeated
+  cells and cells nested in another dropped; cells finer than the block
+  level are rejected. A plan is one index array of header rows. V1 plans
+  each covering cell with an upper-bound binary search for its first and
+  last contained CellBlock Header. V2 (adaptive) keeps the aggregates of
+  the cells its :class:`~repro.core.agg_trie.AggregateTrie` caches as
+  rows ``n_cells + slot`` after the headers (the paper's reserved area)
+  and records the covering in a :class:`~repro.core.stats_trie.StatsTrie`;
+  a cached cell becomes its row, an uncached cell with cached *direct
+  children* becomes their rows plus the children left over, and every
+  other cell is planned as in V1 (Figure 5 of the paper).
+- **Execute.** One gather and one reduction over the plan's rows. Cost
+  is proportional to the number of CellBlocks scanned, as in the paper
+  (gathered reductions, deliberately not prefix sums).
 
 COUNT reads only the first and last header of each V1 range:
 ``offset_last + count_last - offset_first``. ``batch`` selects how a
@@ -34,14 +34,15 @@ import time
 
 import numpy as np
 
+from repro.core.agg_trie import AggregateTrie
 from repro.core.raw import RawTable
+from repro.core.stats_trie import StatsTrie
 from repro.s2lite.cell import MAX_LEVEL
 from repro.s2lite.covering import exterior_covering
 
 __all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "cell_ranges", "needed_stats"]
 
 _STATS = ("min", "max", "sum")
-_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 
 def gather_ranges(i0, i1):
@@ -54,11 +55,12 @@ def gather_ranges(i0, i1):
     same courtesy the C++ implementation gets from the compiler). Used
     by the GeoBlock (over CellBlock headers) and by the
     BinarySearch/BTree baselines (over raw tuples), so the comparison
-    stays fair. Segments must be non-empty (``i1 > i0``).
+    stays fair. Empty segments give no indices.
     """
     lens = i1 - i0
     ends = np.cumsum(lens)
-    return np.arange(ends[-1], dtype=np.int64) + np.repeat(i0 - ends + lens, lens)
+    total = ends[-1] if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(i0 - ends + lens, lens)
 
 
 def checked_cells(cells, level: int):
@@ -70,6 +72,22 @@ def checked_cells(cells, level: int):
     if lsb.min(initial=1 << 62) < 1 << (2 * (MAX_LEVEL - level)):
         raise ValueError(f"query cells must be at or above the block level {level}")
     return cells, lsb
+
+
+def normalized_cells(cells, level: int):
+    """Query cells, after :func:`checked_cells`, as a sorted int64 array
+    in which no cell repeats or lies inside another, so every tuple under
+    them counts once. Quadtree cells are nested or disjoint: sorted by
+    ``(lo, -hi)`` of their key bounds ``cell -/+ lsb``, a cell is kept iff
+    it ends after every cell before it. Exterior coverings are already
+    sorted and disjoint and come back as they are."""
+    cells, lsb = checked_cells(cells, level)
+    lo, hi = cells - lsb, cells + lsb
+    if (lo[1:] >= hi[:-1]).all():
+        return cells
+    order = np.lexsort((-hi, lo))
+    hi = hi[order]
+    return cells[order][np.r_[True, hi[1:] > np.maximum.accumulate(hi)[:-1]]]
 
 
 def cell_ranges(cells, level: int, lower_bound):
@@ -171,8 +189,6 @@ class GeoBlock:
     # figures and the AggregateTrie threshold accounting.
     _FIXED_HEADER_FIELDS = 3
 
-    agg_trie = None  # V1 caches nothing; its plans hold no slots
-
     def __init__(self, *, level, keys, offsets, counts, aggs, value_cols, key_min, key_max):
         self.level = level
         self.keys = keys  # sorted cell ids at `level`
@@ -264,21 +280,15 @@ class GeoBlock:
         return i0[m], i1[m]
 
     def _plan(self, cells, batch: bool):
-        """A plan is ``(AggregateTrie slots, i0, i1)``; V1 has no slots."""
-        return (_NO_SLOTS, *self._ranges(cells, batch))
+        """A plan is the index array of the header rows to combine."""
+        return gather_ranges(*self._ranges(cells, batch))
 
     def _execute(self, plan, cols) -> AggAccumulator:
-        """Combine a plan: one reduction over the cached aggregates at its
-        slots, one over the headers in its ranges (``cols`` as returned
-        by :func:`needed_stats`). Empty parts are skipped."""
-        slots, i0, i1 = plan
+        """Combine the rows at the indices ``plan`` in one reduction
+        (``cols`` as returned by :func:`needed_stats`)."""
         acc = AggAccumulator(cols)
-        if len(slots):
-            trie = self.agg_trie
-            acc.combine(int(trie.counts[slots].sum()), _select(trie.aggs, cols, slots))
-        if len(i0):
-            idx = gather_ranges(i0, i1)
-            acc.combine(int(self.counts[idx].sum()), _select(self.aggs, cols, idx))
+        if len(plan):
+            acc.combine(int(self.counts[plan].sum()), _select(self.aggs, cols, plan))
         return acc
 
     def query_cells(self, cells, specs, *, batch: bool = True):
@@ -290,6 +300,7 @@ class GeoBlock:
         V1-vs-V2 difference lives in per-cell probe costs. Both plans go
         through the same executor, so results are identical.
         """
+        cells = normalized_cells(cells, self.level)
         cols = needed_stats(specs)
         return self._execute(self._plan(cells, batch), cols).finalize(specs)
 
@@ -302,7 +313,7 @@ class GeoBlock:
         contiguous, so a range reads its first and last header only
         (``offset_last + count_last - offset_first``). COUNT is never
         recorded or cached: the paper does not adapt it."""
-        i0, i1 = self._ranges(cells)
+        i0, i1 = self._ranges(normalized_cells(cells, self.level))
         return int((self.offsets[i1 - 1] + self.counts[i1 - 1] - self.offsets[i0]).sum())
 
     def query_count(self, polygon) -> int:
@@ -310,9 +321,10 @@ class GeoBlock:
 
     def cell_aggregates(self, cells):
         """Count and min/max/sum of every column under each of ``cells``,
-        laid out like the header arrays — what the AggregateTrie caches.
-        A cell without tuples holds neutral elements (0, inf, -inf, 0),
-        which vanish when combined."""
+        laid out like the header arrays: the rows V2 appends to its
+        headers for the cells the AggregateTrie caches. A cell without
+        tuples holds neutral elements (0, inf, -inf, 0), which vanish
+        when combined."""
         cells = np.asarray(cells, dtype=np.int64)
         n = len(cells)
         counts = np.zeros(n, dtype=np.int64)
@@ -339,8 +351,6 @@ class AdaptiveGeoBlock(GeoBlock):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        from repro.core.stats_trie import StatsTrie
-
         self.stats = StatsTrie(self.key_min, self.key_max)
         self.agg_trie = None
 
@@ -362,23 +372,29 @@ class AdaptiveGeoBlock(GeoBlock):
 
         ``threshold`` is the paper's aggregate threshold: the relative
         size overhead allowed, as a fraction of the GeoBlock header size.
+        The cached aggregates follow the ``n_cells`` headers in slot order,
+        in new arrays: the headers stay shared with the block V2 came from.
         """
-        from repro.core.agg_trie import AggregateTrie
-
         self.agg_trie = AggregateTrie.build(self, self.stats, threshold)
+        n = self.n_cells
+        counts, aggs = self.cell_aggregates(self.agg_trie.ids)
+        self.counts = np.r_[self.counts[:n], counts]
+        self.aggs = {
+            c: {s: np.r_[v[:n], aggs[c][s]] for s, v in a.items()} for c, a in self.aggs.items()
+        }
 
     def _plan(self, cells, batch: bool):
         """Adapted planning (paper Figure 5): cached cells, and cached
-        direct children of uncached ones, resolve to AggregateTrie slots;
-        the cells left over are planned as in V1. The whole covering is
-        recorded in the StatsTrie once per query, after planning has
-        validated it."""
-        cells = np.asarray(cells, dtype=np.int64)
+        direct children of uncached ones, resolve to their rows
+        ``n_cells + slot``; the cells left over are planned as in V1.
+        The whole covering is recorded in the StatsTrie once per query."""
         if self.agg_trie is None:
             plan = super()._plan(cells, batch)
         else:
             slots, rest = self.agg_trie.lookup(cells, batch=batch)
-            plan = (slots, *self._ranges(rest, batch))
+            plan = self.n_cells + slots
+            if len(rest):  # planning no cells costs as much as the lookup
+                plan = np.concatenate([super()._plan(rest, batch), plan])
         self.stats.record_many(cells)
         return plan
 

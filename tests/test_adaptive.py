@@ -263,7 +263,6 @@ _BYTE_BLOCK = SimpleNamespace(
     level=V1.level,
     header_size_bytes=lambda: 1,
     aggregate_row_bytes=V1.aggregate_row_bytes,
-    cell_aggregates=V1.cell_aggregates,
 )
 
 
@@ -316,8 +315,8 @@ def test_trie_caches_top_ranked_first():
 
 
 def test_trie_rows_match_v1():
-    """Each cached cell is planned as its own slot alone, and the cached
-    aggregate gives V1's answer exactly."""
+    """Each cached cell is planned as its own row ``n_cells + slot``
+    alone, and that row gives V1's answer exactly."""
     v2 = fresh_v2()
     for poly in HOODS[:20]:
         v2.query_cells(V1.cover(poly), DEFAULT_AGGS)
@@ -325,17 +324,47 @@ def test_trie_rows_match_v1():
     trie = v2.agg_trie
     assert len(trie) >= 10
     for cid, slot in list(trie.slot_of.items())[:10]:
-        slots, i0, i1 = v2._plan(np.array([cid]), batch=True)
-        assert slots.tolist() == [slot] and len(i0) == len(i1) == 0
+        row = v2.n_cells + slot
+        assert trie.get(cid) == slot
+        assert v2._plan(np.array([cid]), batch=True).tolist() == [row]
         want = V1.query_cells([cid], DEFAULT_AGGS)
         assert v2.query_cells([cid], DEFAULT_AGGS) == want
-        count, mins, maxs, sums = trie.get(cid)
-        row = {"count": count, "min": mins, "max": maxs, "sum": sums}
+        count = int(v2.counts[row])
         assert count == V1.count_cells([cid])
         for (col, op), v in want.items():
-            assert (row[op] if op == "count" else row[op][col]) == v, (col, op)
+            if op == "count":
+                assert count == v
+            elif op == "sum" or count:
+                assert float(v2.aggs[col][op][row]) == v, (col, op)
+            else:  # an empty cell's min and max are neutral elements
+                assert v is None and v2.aggs[col][op][row] == (np.inf if op == "min" else -np.inf)
     uncached = next(int(k) for k in V1.keys if int(k) not in trie.slot_of)
     assert trie.get(uncached) is None
+
+
+def test_trie_rows_leave_v1_untouched():
+    """V2 shares V1's header arrays; each trie build gives V2 new arrays
+    holding the headers and then the cached rows in slot order, and
+    leaves V1's bit for bit as they were."""
+    def header_bytes():
+        aggs = {c: {s: a.tobytes() for s, a in stats.items()} for c, stats in V1.aggs.items()}
+        return V1.counts.tobytes(), aggs
+
+    before = header_bytes()
+    v2 = fresh_v2()
+    _train(v2, HOODS[:20])
+    for threshold in (0.05, 0.01):
+        v2.build_aggregate_trie(threshold)
+        assert header_bytes() == before
+        assert len(V1.counts) == V1.n_cells
+        n, ids = v2.n_cells, np.array(list(v2.agg_trie.slot_of), dtype=np.int64)
+        assert len(ids) > 0 and len(v2.counts) == n + len(v2.agg_trie)
+        counts, aggs = V1.cell_aggregates(ids)
+        assert np.array_equal(v2.counts[:n], V1.counts) and np.array_equal(v2.counts[n:], counts)
+        for c, stats in aggs.items():
+            for s, tail in stats.items():
+                assert np.array_equal(v2.aggs[c][s][:n], V1.aggs[c][s]), (c, s)
+                assert np.array_equal(v2.aggs[c][s][n:], tail), (c, s)
 
 
 def test_trie_has_node_on_paths():
@@ -444,11 +473,14 @@ def test_v2_children_combination_path():
     trie = v2.agg_trie
     cached = [k for k in kids if k in trie.slot_of]
     assert cached and target not in trie.slot_of
-    # The parent plans as its cached children's slots; the uncached
-    # children fall back to header ranges.
-    slots, i0, i1 = v2._plan(np.array([target]), batch=True)
-    assert sorted(slots.tolist()) == sorted(trie.slot_of[k] for k in cached)
-    assert len(i0) == len(V1._ranges([k for k in kids if k not in trie.slot_of])[0])
+    # The parent plans as its cached children's rows; the uncached
+    # children fall back to their headers.
+    plan = v2._plan(np.array([target]), batch=True)
+    n = v2.n_cells
+    assert sorted(plan[plan >= n].tolist()) == sorted(n + trie.slot_of[k] for k in cached)
+    uncached = [k for k in kids if k not in trie.slot_of]
+    headers = V1._plan(np.array(uncached, dtype=np.int64), batch=True)
+    assert sorted(plan[plan < n].tolist()) == sorted(headers.tolist())
     assert_same_results(
         v2.query_cells([target], DEFAULT_AGGS), V1.query_cells([target], DEFAULT_AGGS)
     )

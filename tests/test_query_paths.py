@@ -2,18 +2,21 @@
 
 V1 and V2, each in batch and query-at-a-time mode, and BTree must match
 the BinarySearch baseline on the same cells, and the specialized COUNT
-must equal the SELECT count. Cells finer than the block level hold no
-CellBlock of their own, so every path must reject them. Edge polygons
-(far outside the data, a collinear sliver, edges on cell boundaries) get
-one answer from V1, V2, COUNT, BinarySearch and BTree.
+must equal the SELECT count. Repeated, nested and unsorted cells count
+each tuple once, as a brute-force count over the raw keys does. Cells
+finer than the block level hold no CellBlock of their own, so every
+path must reject them. Edge polygons (far outside the data, a collinear
+sliver, edges on cell boundaries) get one answer from V1, V2, COUNT,
+BinarySearch and BTree.
 """
+import numpy as np
 import pytest
 
 from repro.baselines.binary_search import BinarySearchEngine
 from repro.baselines.btree import BTreeEngine
 from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
 from repro.core.raw import extract_and_reorganize
-from repro.s2lite.cell import cell_from_latlon, cell_level, children, parent
+from repro.s2lite.cell import cell_from_latlon, cell_level, children, parent, range_max, range_min
 from repro.s2lite.covering import quad_bounds
 from repro.s2lite.polygon import Polygon
 from repro.synth_data import nyc_taxi_pandas
@@ -41,6 +44,14 @@ def trained_v2(threshold: float) -> AdaptiveGeoBlock:
     return v2
 
 
+def brute_count(cells) -> int:
+    """Raw tuples whose key lies under any of ``cells``."""
+    under = np.zeros(len(RAW.keys), dtype=bool)
+    for c in cells:
+        under |= (RAW.keys >= range_min(c)) & (RAW.keys <= range_max(c))
+    return int(under.sum())
+
+
 def assert_same(got, exp):
     """Counts, minima and maxima exactly; sums up to float association."""
     assert got.keys() == exp.keys()
@@ -63,13 +74,23 @@ def test_every_path_gives_one_answer(threshold):
         and parent(c, cell_level(c) - 1) not in trie.slot_of
     )
     assert any(k in trie.slot_of for k in children(only_kids))
+    cached = next(iter(trie.slot_of))
     mid = int(V1.keys[len(V1.keys) // 2])
+    first = list(PLANS[0])
     edge = [
         [],
         [cell_from_latlon(0.0, 0.0, LEVEL)],  # outside the block
         [parent(mid, 10)],
         [only_kids],
+        first + first,  # every cell twice
+        first[::-1],  # unsorted
+        first + [parent(first[0], cell_level(first[0]) - 1)],  # a parent after its child
+        [parent(mid, 10), parent(mid, 12), mid, mid],  # nested chain
+        [*children(only_kids), only_kids],  # partly cached children, then their parent
+        [parent(cached, cell_level(cached) - 1), cached, cached],  # a cached cell and its parent
     ]
+    for cells in edge:
+        assert BS.count_cells(cells) == brute_count(cells), cells
     for cells in PLANS + edge:
         want = BS.query_cells(cells, DEFAULT_AGGS)
         for engine in (V1, v2, BT):

@@ -46,7 +46,7 @@ class BinarySearchEngine:
         proportional to elements scanned."""
         cols = needed_stats(specs)
         acc = AggAccumulator(cols)
-        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.level, self.lower_bound)
+        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.lower_bound)
         idx = gather_ranges(i0, i1)
         if len(idx):
             acc.combine(len(idx), self.raw.values(cols, idx))
@@ -56,7 +56,7 @@ class BinarySearchEngine:
         return self.query_cells(self.cover(polygon), specs)
 
     def count_cells(self, cells) -> int:
-        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.level, self.lower_bound)
+        i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.lower_bound)
         return int((i1 - i0).sum())
 
     def query_count(self, polygon) -> int:

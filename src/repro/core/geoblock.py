@@ -90,15 +90,17 @@ def normalized_cells(cells, level: int):
     return cells[order][np.r_[True, hi[1:] > np.maximum.accumulate(hi)[:-1]]]
 
 
-def cell_ranges(cells, level: int, lower_bound):
+def cell_ranges(cells, lower_bound):
     """Range ``[i0, i1)`` of the keys under each query cell in a sorted
-    key array (``i1 >= i0``), after :func:`checked_cells`.
-    ``lower_bound(probes)`` gives the position of the first key >= each
-    probe: the GeoBlock and BinarySearch pass ``keys.searchsorted``, BTree
-    its B+tree descent. A cell's descendants are the keys in
-    ``[cell - lsb + 1, cell + lsb)``; both ends are found in one call, so
-    a fixed cost per call (BTree's) is paid once per query."""
-    cells, lsb = checked_cells(cells, level)
+    key array (``i1 >= i0``). ``lower_bound(probes)`` gives the position
+    of the first key >= each probe: the GeoBlock and BinarySearch pass
+    ``keys.searchsorted``, BTree its B+tree descent. A cell's descendants
+    are the keys in ``[cell - lsb + 1, cell + lsb)``; both ends are found
+    in one call, so a fixed cost per call (BTree's) is paid once per
+    query. The level is not checked here: each public entry checks its
+    cells once, by :func:`normalized_cells` or :func:`checked_cells`."""
+    cells = np.asarray(cells, dtype=np.int64)
+    lsb = cells & -cells
     bounds = lower_bound(np.concatenate([cells - lsb + 1, cells + lsb]))
     return bounds[: len(cells)], bounds[len(cells) :]
 
@@ -259,16 +261,17 @@ class GeoBlock:
     # -- query kernel: plan, then execute ----------------------------------
     def _ranges(self, cells, batch: bool = True):
         """V1 planning: the non-empty header ranges ``[i0, i1)`` under
-        ``cells``, found by an upper-bound binary search per cell range.
+        ``cells`` (an int64 array, checked by the caller), found by an
+        upper-bound binary search per cell range.
 
         ``batch`` runs all searches as one vectorized ``searchsorted``;
         otherwise each cell gets the block-wide pre-query check and its
         own two binary searches, the paper's per-cell cost structure.
         """
         if batch:
-            i0, i1 = cell_ranges(cells, self.level, self.keys.searchsorted)
+            i0, i1 = cell_ranges(cells, self.keys.searchsorted)
         else:
-            cells, lsb = checked_cells(cells, self.level)
+            lsb = cells & -cells
             keys, i0, i1 = self.keys, [], []
             for lo, hi in zip((cells - lsb + 1).tolist(), (cells + lsb - 1).tolist()):
                 if hi >= self.key_min and lo <= self.key_max:
@@ -325,14 +328,14 @@ class GeoBlock:
         headers for the cells the AggregateTrie caches. A cell without
         tuples holds neutral elements (0, inf, -inf, 0), which vanish
         when combined."""
-        cells = np.asarray(cells, dtype=np.int64)
+        cells, _ = checked_cells(cells, self.level)
         n = len(cells)
         counts = np.zeros(n, dtype=np.int64)
         aggs = {
             c: {"min": np.full(n, np.inf), "max": np.full(n, -np.inf), "sum": np.zeros(n)}
             for c in self.value_cols
         }
-        i0, i1 = cell_ranges(cells, self.level, self.keys.searchsorted)
+        i0, i1 = cell_ranges(cells, self.keys.searchsorted)
         full = i1 > i0
         if full.any():
             lens = (i1 - i0)[full]

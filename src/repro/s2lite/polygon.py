@@ -2,15 +2,18 @@
 
 Implements exactly the predicates the covering algorithm and baselines
 need: point-in-polygon (ray casting, vectorized), rectangle/polygon
-intersection and containment (corners by ray casting, edges by a
-separating-axis test), and the interior-rectangle extraction the
-paper uses to query the PHTree/RTree baselines ("we used S2 to get the
-interior rectangle of the query polygon").
+intersection and containment (a separating-axis edge test decides every
+rect an edge touches, one ray-cast corner every other rect), and the
+interior-rectangle extraction the paper uses to query the PHTree/RTree
+baselines ("we used S2 to get the interior rectangle of the query
+polygon").
 
 Polygons are simple (non-self-intersecting) rings given as (lon, lat)
 vertex lists; boundaries follow ray-casting's half-open convention, which
 is immaterial for the paper's error model (errors are cell-sized, not
-point-sized).
+point-sized). A polygon keeps its edges in one packed array of columns,
+so each predicate is a few broadcasts over (edges x rects) or (edges x
+points), with no per-edge Python loop.
 """
 from dataclasses import dataclass
 
@@ -65,9 +68,9 @@ class Rect:
         return self.lat_hi - self.lat_lo
 
 
-def _orient(ax, ay, bx, by, cx, cy):
-    """Sign (-1, 0, 1) of the cross product ``(b - a) x (c - a)``, elementwise."""
-    return np.sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+# Points per ray-casting block, over all ray-crossable edges: bounds the
+# (edges x points) temporaries of :meth:`Polygon.contains_points` to ~2 MB.
+_BLOCK = 1 << 18
 
 
 class Polygon:
@@ -81,26 +84,19 @@ class Polygon:
         if np.allclose(v[0], v[-1]) and v.shape[0] > 3:
             v = v[:-1]
         self.vertices = v
-        self._lons = v[:, 0]
-        self._lats = v[:, 1]
-        # Edge i runs from vertex i to vertex i + 1.
-        x1, y1 = self._lons, self._lats
+        # Edge i runs from vertex i to vertex i + 1. Per edge, as (E, 1)
+        # columns to broadcast against a row of rects: start, direction
+        # and bbox.
+        x1, y1 = v.T
         x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        # The edges a horizontal ray can cross (ray casting skips the rest).
-        self._ray_edges = [e for e in zip(x1, y1, x2, y2) if e[1] != e[3]]
-        # Edge endpoints and bboxes as columns, to broadcast against a row
-        # of rects.
-        self._edges = tuple(a[:, None] for a in (x1, y1, x2, y2))
-        self._edge_bbox = tuple(
-            a[:, None]
-            for a in (np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2))
-        )
-        self.bbox = Rect(
-            float(self._lons.min()),
-            float(self._lats.min()),
-            float(self._lons.max()),
-            float(self._lats.max()),
-        )
+        self._edges = np.stack(
+            [x1, y1, x2 - x1, y2 - y1,
+             np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2)]
+        )[:, :, None]
+        # The edges a horizontal ray can cross (ray casting skips the rest),
+        # as (R, 1) columns of their endpoints.
+        self._ray_edges = np.stack([x1, y1, x2, y2])[:, y1 != y2, None]
+        self.bbox = Rect(float(x1.min()), float(y1.min()), float(x1.max()), float(y1.max()))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Polygon({len(self.vertices)} verts, bbox={self.bbox})"
@@ -110,17 +106,22 @@ class Polygon:
         """Vectorized ray-casting point-in-polygon test.
 
         This is the *exact* membership predicate used by the oracle to
-        measure the relative error of cell-covering answers.
+        measure the relative error of cell-covering answers. Each point
+        counts the ray-crossable edges its rightward ray crosses, all
+        edges at once, over blocks of points that keep the
+        (edges x points) temporaries small.
         """
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        inside = np.zeros(lons.shape, dtype=bool)
-        for xa, ya, xb, yb in self._ray_edges:
-            crosses = ((ya > lats) != (yb > lats)) & (
-                lons < (xb - xa) * (lats - ya) / (yb - ya) + xa
-            )
-            inside ^= crosses
-        return inside
+        xs, ys = lons.ravel(), lats.ravel()
+        xa, ya, xb, yb = self._ray_edges
+        inside = np.empty(xs.shape, dtype=bool)
+        step = _BLOCK // max(len(xa), 1)
+        for i in range(0, len(xs), step):
+            x, y = xs[i : i + step], ys[i : i + step]
+            crosses = ((ya > y) != (yb > y)) & (x < (xb - xa) * (y - ya) / (yb - ya) + xa)
+            inside[i : i + step] = np.logical_xor.reduce(crosses, axis=0)
+        return inside.reshape(lons.shape)
 
     def contains_point(self, lon: float, lat: float) -> bool:
         return bool(self.contains_points(np.array([lon]), np.array([lat]))[0])
@@ -128,9 +129,8 @@ class Polygon:
     # -- rectangle predicates --------------------------------------------
     def meets_bbox(self, lon_lo, lat_lo, lon_hi, lat_hi):
         """Per closed rect (1-D arrays of bounds): does it meet the
-        polygon's closed bbox? The first test :meth:`classify_rects`
-        makes, and the only one the covering descent makes on levels
-        whose cells are too large to fit inside the bbox."""
+        polygon's closed bbox? The only test the covering descent makes
+        on levels whose cells are too large to fit inside the bbox."""
         b = self.bbox
         return ~(
             (lon_lo > b.lon_hi) | (lon_hi < b.lon_lo) | (lat_lo > b.lat_hi) | (lat_hi < b.lat_lo)
@@ -141,52 +141,46 @@ class Polygon:
         given as 1-D arrays of their bounds.
 
         ``intersects[j]``: the polygon's interior/boundary touches rect
-        ``j``. ``contains[j]``: rect ``j`` lies entirely inside the polygon
-        (for a simple polygon: all corners inside and no edge touching the
-        rect). The covering descent classifies a whole quadtree level per
-        call; the one-rect predicates below are the same call.
+        ``j``. ``contains[j]``: rect ``j`` lies entirely inside the polygon.
+        A rect that a polygon edge touches intersects and is not
+        contained. A closed rect that no edge touches lies wholly inside
+        or wholly outside the polygon, so one corner, ray-cast, decides
+        both answers; only those rects are cast. The covering descent
+        classifies a whole quadtree level per call; the one-rect
+        predicates below are the same call.
         """
         lon_lo, lat_lo, lon_hi, lat_hi = (
             np.asarray(a, dtype=np.float64) for a in (lon_lo, lat_lo, lon_hi, lat_hi)
         )
-        in_bbox = self.meets_bbox(lon_lo, lat_lo, lon_hi, lat_hi)
-        corners_in = self.contains_points(
-            np.concatenate([lon_lo, lon_hi, lon_hi, lon_lo]),
-            np.concatenate([lat_lo, lat_lo, lat_hi, lat_hi]),
-        ).reshape(4, -1)
         touched = self._edges_touch(lon_lo, lat_lo, lon_hi, lat_hi)
-        return in_bbox & (corners_in.any(axis=0) | touched), corners_in.all(axis=0) & ~touched
+        free = ~touched
+        inside = np.zeros_like(touched)
+        inside[free] = self.contains_points(lon_lo[free], lat_lo[free])
+        return touched | inside, inside
 
     def _edges_touch(self, lon_lo, lat_lo, lon_hi, lat_hi):
         """Per rect: does any polygon edge touch it anywhere?
 
-        An edge touches a rect if an endpoint lies in it, or if the edge's
-        bbox meets the rect and the edge's line does not pass strictly
-        beside all 4 corners. That is the separating-axis test of a
-        segment and a rect (the bbox test covers the rect's two axes, the
-        corner orientations the edge's normal); its float orientations
-        are exact for axis-parallel edges. Every endpoint
-        is some vertex, so the endpoint test is one vertex-in-rect test;
-        the orientations are computed only for the (edge, rect) pairs
-        that pass the bbox reject, for rects no vertex touches.
+        The separating-axis test of a segment and a closed rect, every
+        (edge, rect) pair in one broadcast: an edge misses a rect iff its
+        bbox misses the rect (the rect's two axes) or all 4 corners lie
+        strictly on one side of its line (the edge's normal). A corner's
+        side is the sign of ``dx (lat - y1) - dy (lon - x1)``; with
+        ``a, b = dx (lat_lo|hi - y1)`` and ``c, d = dy (lon_lo|hi - x1)``,
+        all 4 corners are on the positive side iff ``min(a, b) > max(c,
+        d)`` and on the negative side iff ``max(a, b) < min(c, d)``, exact
+        in floating point because ``fl(p - q) > 0`` iff ``p > q``. A vertex
+        in the rect needs no test of its own: it is its outgoing edge's
+        start, so that edge's bbox meets the rect, and ``a, b`` (and ``c,
+        d``) are products of ``dx`` (``dy``) with differences that
+        straddle 0, so no side is strict.
         """
-        x1, y1, x2, y2 = self._edges
-        touched = (
-            (lon_lo <= x1) & (x1 <= lon_hi) & (lat_lo <= y1) & (y1 <= lat_hi)
-        ).any(axis=0)
-        ex_lo, ey_lo, ex_hi, ey_hi = self._edge_bbox
-        near = ~(
-            (ex_hi < lon_lo) | (ex_lo > lon_hi) | (ey_hi < lat_lo) | (ey_lo > lat_hi) | touched
-        )
-        e, r = np.nonzero(near)
-        if e.size:
-            xl, yl, xh, yh = lon_lo[r], lat_lo[r], lon_hi[r], lat_hi[r]
-            side = _orient(
-                x1[e, 0], y1[e, 0], x2[e, 0], y2[e, 0],
-                np.stack([xl, xh, xh, xl]), np.stack([yl, yl, yh, yh]),
-            ).sum(axis=0)
-            touched[r[np.abs(side) < 4]] = True
-        return touched
+        x1, y1, dx, dy, ex_lo, ey_lo, ex_hi, ey_hi = self._edges
+        a, b = dx * (lat_lo - y1), dx * (lat_hi - y1)
+        c, d = dy * (lon_lo - x1), dy * (lon_hi - x1)
+        apart = (np.minimum(a, b) > np.maximum(c, d)) | (np.maximum(a, b) < np.minimum(c, d))
+        far = (ex_lo > lon_hi) | (ex_hi < lon_lo) | (ey_lo > lat_hi) | (ey_hi < lat_lo)
+        return ~(apart | far).all(axis=0)
 
     def _classify_rect(self, rect: Rect):
         return self.classify_rects([rect.lon_lo], [rect.lat_lo], [rect.lon_hi], [rect.lat_hi])
@@ -202,13 +196,13 @@ class Polygon:
     # -- derived geometry -------------------------------------------------
     def area(self) -> float:
         """Shoelace area in square degrees (orientation-independent)."""
-        x, y = self._lons, self._lats
+        x, y = self.vertices.T
         x2, y2 = np.roll(x, -1), np.roll(y, -1)
         return float(abs(np.sum(x * y2 - x2 * y)) / 2.0)
 
     def centroid(self):
         """Area centroid (falls back to vertex mean for degenerate rings)."""
-        x, y = self._lons, self._lats
+        x, y = self.vertices.T
         x2, y2 = np.roll(x, -1), np.roll(y, -1)
         cross = x * y2 - x2 * y
         a = np.sum(cross) / 2.0
@@ -260,4 +254,4 @@ class Polygon:
                 i = int(np.argmax(mask))
                 return float(gx.ravel()[i]), float(gy.ravel()[i])
         # Degenerate sliver: fall back to the first vertex.
-        return float(self._lons[0]), float(self._lats[0])
+        return float(self.vertices[0, 0]), float(self.vertices[0, 1])

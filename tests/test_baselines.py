@@ -80,7 +80,7 @@ def test_cell_ranges_include_first_and_last_leaf():
     lsb = cell & -cell
     keys = np.array([cell - lsb - 1, cell - lsb + 1, cell + lsb - 1, cell + lsb + 1])
     for lower_bound in (keys.searchsorted, BPlusTree(keys).lower_bound):
-        i0, i1 = cell_ranges([cell], LEVEL, lower_bound)
+        i0, i1 = cell_ranges([cell], lower_bound)
         assert (i0.tolist(), i1.tolist()) == ([1], [3])
 
 

@@ -7,6 +7,8 @@ bounds, and finer max levels shrink the spatial slack. The vectorized
 descent must also return exactly the cells of the cell-at-a-time
 reference descent frozen below, on real, generated and edge-case rings.
 """
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,3 +605,86 @@ def test_min_and_max_level_around_the_fit_level():
     for max_level in (fit - 1, fit - 2):
         for min_level in (0, max_level):
             assert_matches_reference(across, max_level, min_level)
+
+
+# -- the classifier against the reference, on lattice rings ----------------
+
+
+@st.composite
+def lattice_rings(draw):
+    """Simple rings on the integer lattice 0..6: distinct points, at least
+    one in each quadrant around (3.5, 3.5), sorted by angle around it, one
+    point per direction. Every angular gap is below pi, so the ring is
+    star-shaped and simple; the small lattice gives horizontal, vertical,
+    collinear and slanted edges."""
+    quads = [((0, 3), (0, 3)), ((4, 6), (0, 3)), ((4, 6), (4, 6)), ((0, 3), (4, 6))]
+    pts = set()
+    for (x0, x1), (y0, y1) in quads:
+        pt = st.tuples(st.integers(x0, x1), st.integers(y0, y1))
+        pts.update(draw(st.lists(pt, min_size=1, max_size=4)))
+    by_dir = {}
+    for x, y in sorted(pts):
+        dx, dy = 2 * x - 7, 2 * y - 7
+        g = np.gcd(dx, dy)
+        by_dir.setdefault((dx // g, dy // g), (x, y))
+    ring = sorted(by_dir.values(), key=lambda p: np.arctan2(p[1] - 3.5, p[0] - 3.5))
+    return Polygon([(float(x), float(y)) for x, y in ring])
+
+
+def vertex_and_edge_rects(ring):
+    """A point rect on every vertex, a zero-width or zero-height rect on
+    every edge (its span for axis lines, its midpoint otherwise), and the
+    four unit boxes with a corner on each vertex (an outward one meets the
+    ring at that vertex only)."""
+    v = ring.vertices
+    rects = []
+    for (x, y), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
+        rects.append(Rect(x, y, x, y))
+        if x == x2 or y == y2:
+            rects.append(Rect(min(x, x2), min(y, y2), max(x, x2), max(y, y2)))
+        else:
+            rects.append(Rect((x + x2) / 2, (y + y2) / 2, (x + x2) / 2, (y + y2) / 2))
+        rects += [Rect(x - 1 + i, y - 1 + j, x + i, y + j) for i in (0, 1) for j in (0, 1)]
+    return rects
+
+
+# Rect bounds on the rings' lattice, its half steps and one step beyond.
+_LATTICE = st.integers(-2, 14).map(lambda k: k / 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    ring=lattice_rings(),
+    boxes=st.lists(st.tuples(_LATTICE, _LATTICE, _LATTICE, _LATTICE), min_size=10, max_size=40),
+)
+def test_classifier_matches_reference_on_lattice_rings(ring, boxes):
+    """``classify_rects`` equals the frozen scalar predicates on lattice
+    rects, point and zero-width ones on vertices and edges, and rects that
+    meet the ring at a vertex only."""
+    rects = vertex_and_edge_rects(ring) + [
+        Rect(min(a, b), min(c, d), max(a, b), max(c, d)) for a, c, b, d in boxes
+    ]
+    hit, inside = ring.classify_rects(*map(np.array, zip(*map(astuple, rects))))
+    assert hit.tolist() == [_ref_intersects_rect(ring, r) for r in rects]
+    assert inside.tolist() == [_ref_contains_rect(ring, r) for r in rects]
+
+
+# sha256 of the exterior and interior coverings below, from the cell-level
+# classifier with a vertex test and 4 ray-cast corners per rect; any change
+# of a covering changes it.
+COVERING_DIGEST = "28c8ecef16cdb54e493eadb6b379f21e796c8fc74f7b307cf5cbb4882955abbe"
+
+
+def test_covering_digest():
+    """Exterior and interior coverings of two neighborhood draws at levels
+    13, 17 and 21, ``min_level`` 0 and 12, hashed in one digest."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for seed in (11, 2024):
+        for poly in neighborhoods(seed=seed):
+            for level in (13, 17, 21):
+                for min_level in (0, 12):
+                    for cover in (exterior_covering, interior_covering):
+                        h.update(repr(cover(poly, level, min_level)).encode())
+    assert h.hexdigest() == COVERING_DIGEST

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.s2lite.polygon import Polygon, Rect
+from repro.s2lite.polygon import _BLOCK, Polygon, Rect
 
 SQUARE = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 TRIANGLE = Polygon([(0, 0), (4, 0), (0, 4)])
@@ -144,3 +144,52 @@ def test_rect_contains_points_vectorized():
     lons = np.array([0.5, 1.5, 0.0])
     lats = np.array([0.5, 0.5, 1.0])
     assert r.contains_points(lons, lats).tolist() == [True, False, True]
+
+
+def reference_contains_points(poly, lons, lats):
+    """The per-edge ray-casting loop, frozen as it was before the
+    broadcast over all edges replaced it."""
+    x1, y1 = poly.vertices[:, 0], poly.vertices[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    inside = np.zeros(lons.shape, dtype=bool)
+    for xa, ya, xb, yb in zip(x1, y1, x2, y2):
+        if ya == yb:
+            continue
+        crosses = ((ya > lats) != (yb > lats)) & (lons < (xb - xa) * (lats - ya) / (yb - ya) + xa)
+        inside ^= crosses
+    return inside
+
+
+def test_contains_points_in_blocks_matches_reference():
+    """A 301-vertex ring whose top is a staircase (100 horizontal edges)
+    and whose bottom zigzags, queried with more points than one block
+    holds: every vertex, every edge's midpoint and quarter points (exactly
+    on the edges), points on the horizontal edges' lines, a lattice and
+    random points."""
+    top = [(i + dx, 10.0 + i % 3) for i in range(100) for dx in (0.0, 0.5)]
+    bottom = [(100.0 - j, 0.5 * (j % 2)) for j in range(101)]
+    ring = Polygon(top + bottom)
+    v = ring.vertices
+    assert len(v) >= 200
+    w = np.roll(v, -1, axis=0)
+    g = np.random.default_rng(3)
+    gx, gy = np.meshgrid(np.arange(-1.0, 101.5, 0.5), np.arange(-1.0, 13.5, 0.5))
+    pts = np.concatenate(
+        [
+            v,
+            (v + w) / 2,
+            (3 * v + w) / 4,
+            np.c_[v[:, 0] + 0.25, v[:, 1]],
+            np.c_[gx.ravel(), gy.ravel()],
+            np.c_[g.uniform(-1, 101, 3000), g.uniform(-1, 13, 3000)],
+        ]
+    )
+    n_ray_edges = int((v[:, 1] != w[:, 1]).sum())
+    assert len(pts) > 2 * (_BLOCK // n_ray_edges)
+    got = ring.contains_points(pts[:, 0], pts[:, 1])
+    want = reference_contains_points(ring, pts[:, 0], pts[:, 1])
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+    # The same points in one column keep their shape.
+    assert np.array_equal(ring.contains_points(pts[:, :1], pts[:, 1:]).ravel(), want)

@@ -146,3 +146,14 @@ def test_cells_finer_than_block_level_rejected():
     for engine in (V1, v2, BS, BT):
         with pytest.raises(ValueError):
             engine.count_cells(kids)
+
+
+def test_cell_aggregates_rejects_finer_cells():
+    # cell_aggregates is an entry of its own (the trie build calls it), so
+    # it checks the level itself: the range search checks nothing.
+    kids = children(int(V1.keys[len(V1.keys) // 2]))
+    for engine in (V1, trained_v2(0.05)):
+        with pytest.raises(ValueError):
+            engine.cell_aggregates(kids)
+        with pytest.raises(ValueError):
+            engine.cell_aggregates([int(V1.keys[0])] + kids[:1])

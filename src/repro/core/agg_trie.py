@@ -20,7 +20,7 @@ insert loop.
 """
 import numpy as np
 
-from repro.s2lite.cell import cell_level, children, parent
+from repro.s2lite.cell import cell_level, parent, range_max, range_min
 
 __all__ = ["AggregateTrie"]
 
@@ -44,10 +44,12 @@ class AggregateTrie:
         row_bytes = block.aggregate_row_bytes()
         ranked = stats.ranked_cells()
         level = cell_level(ranked)
-        # Cells finer than the block level cannot be cached (no finer
-        # aggregates exist). The StatsTrie holds only cells that meet the
-        # root, so the ones at or below the root's level lie inside it.
-        fits = (level >= trie.root_level) & (level <= block.level)
+        # Only cells inside the root can be cached, and none finer than
+        # the block level (no finer aggregates exist). A cell lies inside
+        # the root iff its id lies in the root's descendant range: the
+        # root's ancestors and cells beside it at any level do not.
+        fits = (level <= block.level) & (ranked >= range_min(stats.root))
+        fits &= ranked <= range_max(stats.root)
         # Every cell costs at least its row, which bounds the prefix.
         room = max(int(threshold * block.header_size_bytes()) - _NODE_BYTES, 0)
         n = room // row_bytes
@@ -71,62 +73,50 @@ class AggregateTrie:
     def _finalize(self, ids) -> None:
         """Index the cached cells ``ids``, given in slot order."""
         self.ids = ids
-        self.slot_of = dict(zip(ids.tolist(), range(len(ids))))  # cell id -> slot
-        # Sorted-id views for batch probes: searchsorted membership is
-        # the vectorized equivalent of the paper's per-cell trie descent.
+        # Sorted-id views for probes: searchsorted membership is the
+        # vectorized equivalent of the paper's per-cell trie descent.
         self.sorted_slots = np.argsort(ids)
         self.sorted_ids = ids[self.sorted_slots]
         # Parents with at least one *aggregated direct child*: the only
         # uncached query cells for which the children-combination path of
-        # the adapted algorithm can beat the plain fallback. Probing this
-        # set instead of all allocated nodes skips the guaranteed-futile
+        # the adapted algorithm can beat the plain fallback. Probing these
+        # instead of all allocated nodes skips the guaranteed-futile
         # child lookups that sibling allocation would otherwise cause.
         level = cell_level(ids)
         below = level > self.root_level
         self.child_parent_ids = np.unique(parent(ids[below], level[below] - 1))
-        self.child_parents = set(self.child_parent_ids.tolist())
 
     # -- queries ----------------------------------------------------------
     def get(self, cid: int):
         """Slot of ``cid``, or None if ``cid`` is not cached."""
-        return self.slot_of.get(int(cid))
+        i = int(self.sorted_ids.searchsorted(cid))
+        if i < len(self.ids) and int(self.sorted_ids[i]) == cid:
+            return int(self.sorted_slots[i])
+        return None
 
-    def lookup(self, cells, *, batch: bool = True):
+    def lookup(self, cells):
         """Resolve query cells against the cache (the paper's Figure 5).
 
         Returns the slots of every cached cell in ``cells`` and
         of the cached direct children of uncached ones, and the cells
         left for the header scan: the other uncached cells and the
-        uncached children. ``batch`` probes all cells with one
-        ``searchsorted``; otherwise each cell is probed on its own, as
-        the paper's per-cell trie descent is.
+        uncached children.
         """
-        if batch:
-            pos, hit = _find(self.sorted_ids, cells)
-            slots, rest = self.sorted_slots[pos[hit]], cells[~hit]
-            _, via_kids = _find(self.child_parent_ids, rest)
-            parents, rest = rest[via_kids].tolist(), rest[~via_kids]
-        else:
-            slots, rest, parents = [], [], []
-            for cid in cells.tolist():
-                slot = self.slot_of.get(cid)
-                if slot is not None:
-                    slots.append(slot)
-                elif cid in self.child_parents:
-                    parents.append(cid)
-                else:
-                    rest.append(cid)
-            slots = np.array(slots, dtype=np.int64)
-            rest = np.array(rest, dtype=np.int64)
-        if parents:
-            kids = np.array([k for cid in parents for k in children(cid)], dtype=np.int64)
+        pos, hit = _find(self.sorted_ids, cells)
+        slots, rest = self.sorted_slots[pos[hit]], cells[~hit]
+        _, via_kids = _find(self.child_parent_ids, rest)
+        if via_kids.any():
+            # The four children of p are p - 3q + 2kq, k = 0..3, q = lsb(p) / 4.
+            p = rest[via_kids]
+            q = (p & -p) >> 2
+            kids = ((p - 3 * q)[:, None] + (2 * q)[:, None] * np.arange(4)).ravel()
             pos, hit = _find(self.sorted_ids, kids)
             slots = np.concatenate([slots, self.sorted_slots[pos[hit]]])
-            rest = np.concatenate([rest, kids[~hit]])
+            rest = np.concatenate([rest[~via_kids], kids[~hit]])
         return slots, rest
 
     def __len__(self) -> int:
-        return len(self.slot_of)
+        return len(self.ids)
 
     def size_bytes(self) -> int:
         return self.used_bytes

@@ -5,8 +5,8 @@ block level, a "CellBlock Header": spatial key, offset of the cell's
 first tuple in the sorted raw data, tuple count, and min/max/sum for
 every retained column — all as parallel sorted numpy arrays (the
 columnar equivalent of the paper's contiguous header array). A
-block-wide header (global key range + global aggregates) drives the
-pre-query check.
+block-wide header holds the global aggregates; the block's key range
+(``key_min``/``key_max``) seeds the StatsTrie root.
 
 Every query runs in two steps, plan then execute:
 
@@ -26,8 +26,7 @@ Every query runs in two steps, plan then execute:
   (gathered reductions, deliberately not prefix sums).
 
 COUNT reads only the first and last header of each V1 range:
-``offset_last + count_last - offset_first``. ``batch`` selects how a
-query is planned, never how it is executed.
+``offset_last + count_last - offset_first``.
 """
 import math
 import time
@@ -259,32 +258,17 @@ class GeoBlock:
         return exterior_covering(polygon, self.level)
 
     # -- query kernel: plan, then execute ----------------------------------
-    def _ranges(self, cells, batch: bool = True):
+    def _ranges(self, cells):
         """V1 planning: the non-empty header ranges ``[i0, i1)`` under
-        ``cells`` (an int64 array, checked by the caller), found by an
-        upper-bound binary search per cell range.
-
-        ``batch`` runs all searches as one vectorized ``searchsorted``;
-        otherwise each cell gets the block-wide pre-query check and its
-        own two binary searches, the paper's per-cell cost structure.
-        """
-        if batch:
-            i0, i1 = cell_ranges(cells, self.keys.searchsorted)
-        else:
-            lsb = cells & -cells
-            keys, i0, i1 = self.keys, [], []
-            for lo, hi in zip((cells - lsb + 1).tolist(), (cells + lsb - 1).tolist()):
-                if hi >= self.key_min and lo <= self.key_max:
-                    i0.append(keys.searchsorted(lo, side="left"))
-                    i1.append(keys.searchsorted(hi, side="right"))
-            i0 = np.array(i0, dtype=np.int64)
-            i1 = np.array(i1, dtype=np.int64)
+        ``cells`` (an int64 array, checked by the caller), found by one
+        vectorized upper-bound binary search over all cell ranges."""
+        i0, i1 = cell_ranges(cells, self.keys.searchsorted)
         m = i1 > i0
         return i0[m], i1[m]
 
-    def _plan(self, cells, batch: bool):
+    def _plan(self, cells):
         """A plan is the index array of the header rows to combine."""
-        return gather_ranges(*self._ranges(cells, batch))
+        return gather_ranges(*self._ranges(cells))
 
     def _execute(self, plan, cols) -> AggAccumulator:
         """Combine the rows at the indices ``plan`` in one reduction
@@ -294,18 +278,11 @@ class GeoBlock:
             acc.combine(int(self.counts[plan].sum()), _select(self.aggs, cols, plan))
         return acc
 
-    def query_cells(self, cells, specs, *, batch: bool = True):
-        """SELECT over an explicit list of covering cells.
-
-        ``batch`` selects only the planning step (see :meth:`_ranges`):
-        one vectorized pass for the engine comparisons, or
-        query-at-a-time for the adaptive experiments (Figs. 9/10), whose
-        V1-vs-V2 difference lives in per-cell probe costs. Both plans go
-        through the same executor, so results are identical.
-        """
+    def query_cells(self, cells, specs):
+        """SELECT over an explicit list of covering cells."""
         cells = normalized_cells(cells, self.level)
         cols = needed_stats(specs)
-        return self._execute(self._plan(cells, batch), cols).finalize(specs)
+        return self._execute(self._plan(cells), cols).finalize(specs)
 
     def query_select(self, polygon, specs):
         """SELECT over a query polygon (covering computed here)."""
@@ -386,18 +363,18 @@ class AdaptiveGeoBlock(GeoBlock):
             c: {s: np.r_[v[:n], aggs[c][s]] for s, v in a.items()} for c, a in self.aggs.items()
         }
 
-    def _plan(self, cells, batch: bool):
+    def _plan(self, cells):
         """Adapted planning (paper Figure 5): cached cells, and cached
         direct children of uncached ones, resolve to their rows
         ``n_cells + slot``; the cells left over are planned as in V1.
         The whole covering is recorded in the StatsTrie once per query."""
         if self.agg_trie is None:
-            plan = super()._plan(cells, batch)
+            plan = super()._plan(cells)
         else:
-            slots, rest = self.agg_trie.lookup(cells, batch=batch)
+            slots, rest = self.agg_trie.lookup(cells)
             plan = self.n_cells + slots
             if len(rest):  # planning no cells costs as much as the lookup
-                plan = np.concatenate([super()._plan(rest, batch), plan])
+                plan = np.concatenate([super()._plan(rest), plan])
         self.stats.record_many(cells)
         return plan
 

@@ -25,8 +25,8 @@ _FOLD_FLOOR = 1 << 16
 class StatsTrie:
     def __init__(self, key_min: int, key_max: int):
         # Prune to the deepest single cell covering the whole block: query
-        # cells outside it can never touch the block (the pre-query check
-        # answers them in O(1)), so not tracking them loses nothing.
+        # cells outside it can never touch the block (their header ranges
+        # are empty), so not tracking them loses nothing.
         self.root = common_ancestor(key_min, key_max)
         self._rmin = range_min(self.root)
         self._rmax = range_max(self.root)

@@ -108,36 +108,25 @@ def _timed(calls: dict, repeats: int = 1) -> dict:
     return best
 
 
-def run_cell_workload(engines: dict, plans, specs, *, batch: bool = True) -> dict:
+def run_cell_workload(engines: dict, plans, specs) -> dict:
     """Name -> seconds to answer every query plan on ``engines[name]``
     (cell-covering engines), best of ``TIMING_REPEATS`` passes, timed
-    round-robin across the engines.
-
-    ``batch=False`` plans GeoBlocks queries one cell at a time (the
-    paper's per-cell C++ cost structure) — used by the adaptive
-    experiments, where the V1/V2 difference lives in per-cell probe
-    costs that batch planning optimizes away for both engines; see
-    EXPERIMENTS.md.
-    """
-    kw = {} if batch else {"batch": False}  # the baselines take no ``batch``
+    round-robin across the engines."""
     return _timed(
-        {
-            name: partial(_answer_all, engine, plans, specs, kw)
-            for name, engine in engines.items()
-        },
+        {name: partial(_answer_all, engine, plans, specs) for name, engine in engines.items()},
         TIMING_REPEATS,
     )
 
 
-def _answer_all(engine, plans, specs, kw) -> list:
-    return [engine.query_cells(cells, specs, **kw) for cells in plans]
+def _answer_all(engine, plans, specs) -> list:
+    return [engine.query_cells(cells, specs) for cells in plans]
 
 
 def _base_skew_ms(engines: dict, plans, skew_plans) -> dict:
-    """Query-at-a-time ms of the base and the skewed workload (Figs. 9/10)
-    for each engine."""
+    """Ms of the base and the skewed workload (Figs. 9/10) for each
+    engine."""
     times = {
-        part: run_cell_workload(engines, p, DEFAULT_AGGS, batch=False)
+        part: run_cell_workload(engines, p, DEFAULT_AGGS)
         for part, p in (("base", plans), ("skew", skew_plans))
     }
     return {f"{name}_{part}_ms": times[part][name] * 1e3 for name in engines for part in times}

@@ -6,8 +6,9 @@ bound ("the maximum error is bound by the diagonal of a grid cell")
 follows from the covering's max level. Exterior coverings keep every cell
 that *intersects* the polygon (false positives only — the paper notes the
 error is "always of positive nature"); interior coverings keep only cells
-fully *contained* (false negatives only), used for the PHTree baseline's
-conservative query mapping.
+fully *contained* (false negatives only). No engine queries an interior
+covering: the PHTree and RTree baselines map a polygon to
+:meth:`Polygon.interior_rect`.
 
 Cells in a covering are at levels ``min_level..max_level`` — a cell fully
 inside the polygon is emitted as soon as it is at least ``min_level``

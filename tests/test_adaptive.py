@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import stats_trie
@@ -241,7 +241,7 @@ def test_trie_build_matches_reference_ranking(threshold):
     )
     trie = AggregateTrie.build(V1, stats, threshold)
     assert len(trie) > 0
-    assert list(trie.slot_of.items()) == [(c, j) for j, c in enumerate(cached)]
+    assert trie.ids.tolist() == cached
     assert trie.size_bytes() == used[-1]
 
 
@@ -268,6 +268,9 @@ _BYTE_BLOCK = SimpleNamespace(
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(ranked=st.lists(_fill_cell, unique=True, max_size=16))
+# A cell beside the root at the root's level, ranked before the root:
+# only cells inside the root may be cached.
+@example(ranked=[1054123787781406720, 1055249687688249344])
 def test_trie_build_matches_reference_fill(ranked):
     root = common_ancestor(V1.key_min, V1.key_max)
     stats = SimpleNamespace(root=root, ranked_cells=lambda: np.array(ranked, dtype=np.int64))
@@ -279,8 +282,8 @@ def test_trie_build_matches_reference_fill(ranked):
     for budget in sorted(budgets):
         cached, used = reference_fill(root, ranked, V1.level, budget, row)
         trie = AggregateTrie.build(_BYTE_BLOCK, stats, budget)
-        assert list(trie.slot_of) == cached, budget
-        assert list(trie.slot_of.values()) == list(range(len(cached)))
+        assert trie.ids.tolist() == cached, budget
+        assert [trie.get(c) for c in cached] == list(range(len(cached)))
         assert trie.size_bytes() == used[-1], budget
 
 
@@ -308,7 +311,7 @@ def test_trie_caches_top_ranked_first():
     stats = _trained_stats()
     trie = AggregateTrie.build(V1, stats, threshold=0.02)
     assert len(trie) > 0
-    cached = set(trie.slot_of)
+    cached = set(trie.ids.tolist())
     ranked = [c for c in stats.ranked_cells().tolist() if cell_level(c) <= V1.level]
     # The cached set is a prefix of the ranking (strict insertion order).
     assert cached == set(ranked[: len(cached)])
@@ -323,10 +326,10 @@ def test_trie_rows_match_v1():
     v2.build_aggregate_trie(0.05)
     trie = v2.agg_trie
     assert len(trie) >= 10
-    for cid, slot in list(trie.slot_of.items())[:10]:
+    for slot, cid in enumerate(trie.ids.tolist()[:10]):
         row = v2.n_cells + slot
         assert trie.get(cid) == slot
-        assert v2._plan(np.array([cid]), batch=True).tolist() == [row]
+        assert v2._plan(np.array([cid])).tolist() == [row]
         want = V1.query_cells([cid], DEFAULT_AGGS)
         assert v2.query_cells([cid], DEFAULT_AGGS) == want
         count = int(v2.counts[row])
@@ -338,7 +341,7 @@ def test_trie_rows_match_v1():
                 assert float(v2.aggs[col][op][row]) == v, (col, op)
             else:  # an empty cell's min and max are neutral elements
                 assert v is None and v2.aggs[col][op][row] == (np.inf if op == "min" else -np.inf)
-    uncached = next(int(k) for k in V1.keys if int(k) not in trie.slot_of)
+    uncached = next(int(k) for k in V1.keys if int(k) not in trie.ids)
     assert trie.get(uncached) is None
 
 
@@ -357,7 +360,7 @@ def test_trie_rows_leave_v1_untouched():
         v2.build_aggregate_trie(threshold)
         assert header_bytes() == before
         assert len(V1.counts) == V1.n_cells
-        n, ids = v2.n_cells, np.array(list(v2.agg_trie.slot_of), dtype=np.int64)
+        n, ids = v2.n_cells, v2.agg_trie.ids
         assert len(ids) > 0 and len(v2.counts) == n + len(v2.agg_trie)
         counts, aggs = V1.cell_aggregates(ids)
         assert np.array_equal(v2.counts[:n], V1.counts) and np.array_equal(v2.counts[n:], counts)
@@ -374,7 +377,7 @@ def test_trie_has_node_on_paths():
     trie = AggregateTrie.build(V1, _trained_stats(), threshold=0.05)
     assert len(trie) > 0
     blocks = set()
-    for cid in trie.slot_of:
+    for cid in trie.ids.tolist():
         blocks.update(parent(cid, l) for l in range(trie.root_level, cell_level(cid)))
     rows = len(trie) * V1.aggregate_row_bytes()
     assert trie.size_bytes() == 8 + 32 * len(blocks) + rows
@@ -427,7 +430,7 @@ def test_v2_cache_is_used_for_skewed_cells():
     _train(v2, skew, reps=4)
     v2.build_aggregate_trie(0.05)
     skew_cells = {int(c) for p in skew for c in v2.cover(p)}
-    cached = set(v2.agg_trie.slot_of)
+    cached = set(v2.agg_trie.ids.tolist())
     # Skewed cells score ~5x the base cells, so the cache must consist
     # almost entirely of them (the paper's "5% roughly corresponds to
     # aggregating all cells of the skewed workload" is a statement about
@@ -439,7 +442,7 @@ def test_v2_cache_is_used_for_skewed_cells():
     _train(v2b, HOODS)
     _train(v2b, skew, reps=4)
     v2b.build_aggregate_trie(1.0)
-    cached_b = set(v2b.agg_trie.slot_of)
+    cached_b = set(v2b.agg_trie.ids.tolist())
     assert len(cached_b & skew_cells) / len(skew_cells) > 0.95
 
 
@@ -471,15 +474,15 @@ def test_v2_children_combination_path():
             v2.query_cells([k], DEFAULT_AGGS)
     v2.build_aggregate_trie(1.0)
     trie = v2.agg_trie
-    cached = [k for k in kids if k in trie.slot_of]
-    assert cached and target not in trie.slot_of
+    cached = [k for k in kids if k in trie.ids]
+    assert cached and target not in trie.ids
     # The parent plans as its cached children's rows; the uncached
     # children fall back to their headers.
-    plan = v2._plan(np.array([target]), batch=True)
+    plan = v2._plan(np.array([target]))
     n = v2.n_cells
-    assert sorted(plan[plan >= n].tolist()) == sorted(n + trie.slot_of[k] for k in cached)
-    uncached = [k for k in kids if k not in trie.slot_of]
-    headers = V1._plan(np.array(uncached, dtype=np.int64), batch=True)
+    assert sorted(plan[plan >= n].tolist()) == sorted(n + trie.get(k) for k in cached)
+    uncached = [k for k in kids if k not in trie.ids]
+    headers = V1._plan(np.array(uncached, dtype=np.int64))
     assert sorted(plan[plan < n].tolist()) == sorted(headers.tolist())
     assert_same_results(
         v2.query_cells([target], DEFAULT_AGGS), V1.query_cells([target], DEFAULT_AGGS)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import experiments as ex
+from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock, normalized_cells
 
 SF = 0.002  # ~24k rides: shapes are meaningless here, structure is not
 RUN_PY = Path(__file__).resolve().parents[1] / "jobs" / "run.py"
@@ -96,6 +97,31 @@ def test_fig9_rows():
 def test_fig10_rows():
     rows = ex.fig10_threshold(sf=SF, skew_reps=1, thresholds=(0.05, 1.0))
     assert rows[1]["cached_cells"] >= rows[0]["cached_cells"]
+
+
+@pytest.fixture(scope="module")
+def bench_blocks():
+    """V1 at the figures' scale and level, with the base and skewed plans."""
+    s = ex.make_setup(ex.BENCH_SF)
+    plans = s.cover_all(ex.DEFAULT_LEVEL)
+    v1 = GeoBlock.build_from_raw(s.raw, level=ex.DEFAULT_LEVEL)
+    return v1, plans, [plans[i] for i in s.skew_indices()]
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.5])
+def test_v2_plans_fewer_headers_on_skewed_plans(bench_blocks, threshold):
+    """The paper's cost model, read off the plans: a V2 trained as in
+    Figs. 9/10 combines fewer header rows than V1 over the skewed part
+    (at SF 0.1, level 17: 7,996 rows for V1, 2,943 for V2 at both
+    thresholds)."""
+    v1, plans, skew = bench_blocks
+    v2 = AdaptiveGeoBlock.from_block(v1)
+    ex._train_v2(v2, plans, skew, 4, threshold)
+
+    def rows(engine):
+        return sum(len(engine._plan(normalized_cells(c, v1.level))) for c in skew)
+
+    assert rows(v2) < rows(v1)
 
 
 def test_distributed_rows(spark):

@@ -1,16 +1,18 @@
 """Every execution path of a cell query returns one answer.
 
-V1 and V2, each in batch and query-at-a-time mode, and BTree must match
-the BinarySearch baseline on the same cells, and the specialized COUNT
-must equal the SELECT count. Repeated, nested and unsorted cells count
-each tuple once, as a brute-force count over the raw keys does. Cells
-finer than the block level hold no CellBlock of their own, so every
-path must reject them. Edge polygons (far outside the data, a collinear
-sliver, edges on cell boundaries) get one answer from V1, V2, COUNT,
-BinarySearch and BTree.
+V1, V2 and BTree must match the BinarySearch baseline on the same
+cells, and the specialized COUNT must equal the SELECT count. Repeated,
+nested and unsorted cells count each tuple once, as a brute-force count
+over the raw keys does, also for arbitrary cell sets drawn by
+hypothesis. Cells finer than the block level hold no CellBlock of their
+own, so every path must reject them. Edge polygons (far outside the
+data, a collinear sliver, edges on cell boundaries) get one answer from
+V1, V2, COUNT, BinarySearch and BTree.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.binary_search import BinarySearchEngine
 from repro.baselines.btree import BTreeEngine
@@ -44,12 +46,36 @@ def trained_v2(threshold: float) -> AdaptiveGeoBlock:
     return v2
 
 
-def brute_count(cells) -> int:
-    """Raw tuples whose key lies under any of ``cells``."""
+def raw_under(cells):
+    """Mask of the raw tuples whose key lies under any of ``cells``."""
     under = np.zeros(len(RAW.keys), dtype=bool)
     for c in cells:
         under |= (RAW.keys >= range_min(c)) & (RAW.keys <= range_max(c))
-    return int(under.sum())
+    return under
+
+
+def brute_count(cells) -> int:
+    """Raw tuples whose key lies under any of ``cells``."""
+    return int(raw_under(cells).sum())
+
+
+def brute_answer(cells, specs):
+    """Every aggregate of ``specs`` over the raw tuples under any of
+    ``cells``, computed from the raw columns directly."""
+    under = raw_under(cells)
+    n = int(under.sum())
+    out = {}
+    for col, op in specs:
+        v = RAW.columns[col][under]
+        if op == "count":
+            out[col, op] = n
+        elif op == "sum":
+            out[col, op] = float(v.sum())
+        elif op == "avg":
+            out[col, op] = float(v.sum()) / n if n else None
+        else:
+            out[col, op] = float(getattr(v, op)()) if n else None
+    return out
 
 
 def assert_same(got, exp):
@@ -69,12 +95,12 @@ def test_every_path_gives_one_answer(threshold):
     # A parent whose direct children, not itself, are cached.
     only_kids = next(
         parent(c, cell_level(c) - 1)
-        for c in trie.slot_of
+        for c in trie.ids.tolist()
         if cell_level(c) > trie.root_level
-        and parent(c, cell_level(c) - 1) not in trie.slot_of
+        and parent(c, cell_level(c) - 1) not in trie.ids
     )
-    assert any(k in trie.slot_of for k in children(only_kids))
-    cached = next(iter(trie.slot_of))
+    assert any(k in trie.ids for k in children(only_kids))
+    cached = int(trie.ids[0])
     mid = int(V1.keys[len(V1.keys) // 2])
     first = list(PLANS[0])
     edge = [
@@ -94,9 +120,7 @@ def test_every_path_gives_one_answer(threshold):
     for cells in PLANS + edge:
         want = BS.query_cells(cells, DEFAULT_AGGS)
         for engine in (V1, v2, BT):
-            modes = [{}] if engine is BT else [{"batch": True}, {"batch": False}]
-            for kw in modes:
-                assert_same(engine.query_cells(cells, DEFAULT_AGGS, **kw), want)
+            assert_same(engine.query_cells(cells, DEFAULT_AGGS), want)
             assert engine.count_cells(cells) == want[COUNT]
 
 
@@ -132,13 +156,7 @@ def test_cells_finer_than_block_level_rejected():
     kids = children(int(V1.keys[len(V1.keys) // 2]))
     assert BinarySearchEngine(RAW, LEVEL + 1).count_cells(kids) > 0
     v2 = trained_v2(0.05)
-    for engine in (V1, v2):
-        for batch in (True, False):
-            with pytest.raises(ValueError):
-                engine.query_cells(kids, DEFAULT_AGGS, batch=batch)
-            with pytest.raises(ValueError):
-                engine.query_cells([int(V1.keys[0])] + kids[:1], DEFAULT_AGGS, batch=batch)
-    for engine in (BS, BT):
+    for engine in (V1, v2, BS, BT):
         with pytest.raises(ValueError):
             engine.query_cells(kids, DEFAULT_AGGS)
         with pytest.raises(ValueError):
@@ -157,3 +175,32 @@ def test_cell_aggregates_rejects_finer_cells():
             engine.cell_aggregates(kids)
         with pytest.raises(ValueError):
             engine.cell_aggregates([int(V1.keys[0])] + kids[:1])
+
+
+ALL_AGGS = [(c, op) for c in VALUE_COLS for op in ("count", "sum", "min", "max", "avg")]
+V2_5 = trained_v2(0.05)
+# Cells at or above the block level around a few point keys in the data
+# and one far outside it, the cells V2 caches and the parents of cached
+# children: lists of them repeat, nest, come unsorted, miss the data or
+# are empty, and reach every branch of V2's plan.
+_KEYS = [int(k) for k in RAW.keys[:: len(RAW.keys) // 8]] + [cell_from_latlon(0.0, 0.0, 30)]
+_query_cell = st.one_of(
+    st.builds(parent, st.sampled_from(_KEYS), st.integers(0, LEVEL)),
+    st.sampled_from(V2_5.agg_trie.ids.tolist()),
+    st.sampled_from(V2_5.agg_trie.child_parent_ids.tolist()),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cells=st.lists(_query_cell, max_size=12))
+def test_any_cell_set_gives_the_brute_force_answer(cells):
+    want = brute_answer(cells, ALL_AGGS)
+    for engine in (V1, V2_5, BS, BT):
+        got = engine.query_cells(cells, ALL_AGGS)
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            if v is None or k[1] not in ("sum", "avg"):
+                assert got[k] == v, (engine, k)
+            else:  # sums up to float association
+                assert got[k] == pytest.approx(v, rel=1e-9), (engine, k)
+        assert engine.count_cells(cells) == want[COUNT]

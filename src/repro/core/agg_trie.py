@@ -37,7 +37,9 @@ class AggregateTrie:
     @classmethod
     def build(cls, block, stats, threshold: float) -> "AggregateTrie":
         """Fill the trie with the highest-ranked cells that fit in
-        ``threshold * header_size`` bytes."""
+        ``threshold * header_size`` bytes. ``capacity``, the most cells
+        that budget can hold (one aggregate row each, no nodes), is the
+        number of aggregate rows a V2 block reserves for it."""
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
         trie = cls(stats.root)
@@ -52,8 +54,8 @@ class AggregateTrie:
         fits &= ranked <= range_max(stats.root)
         # Every cell costs at least its row, which bounds the prefix.
         room = max(int(threshold * block.header_size_bytes()) - _NODE_BYTES, 0)
-        n = room // row_bytes
-        ranked, level = ranked[fits][:n], level[fits][:n]
+        trie.capacity = room // row_bytes
+        ranked, level = ranked[fits][: trie.capacity], level[fits][: trie.capacity]
         # One (rank, path parent) pair per parent(c, l), root_level <= l <
         # level(c); a parent's first rank is the cell that allocates its
         # child block.

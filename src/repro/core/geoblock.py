@@ -139,6 +139,14 @@ def _reduce_segments(values, starts):
     }
 
 
+def _with_rows(a, n: int, extra: int):
+    """A new array holding the first ``n`` elements of ``a`` and room for
+    ``extra`` more."""
+    out = np.empty(n + extra, dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
 class AggAccumulator:
     """Running combination of aggregates for one query."""
 
@@ -333,6 +341,7 @@ class AdaptiveGeoBlock(GeoBlock):
         super().__init__(**kw)
         self.stats = StatsTrie(self.key_min, self.key_max)
         self.agg_trie = None
+        self.reserved_rows = 0  # aggregate rows after the headers, V2's own
 
     @classmethod
     def from_block(cls, blk: GeoBlock) -> "AdaptiveGeoBlock":
@@ -353,15 +362,27 @@ class AdaptiveGeoBlock(GeoBlock):
         ``threshold`` is the paper's aggregate threshold: the relative
         size overhead allowed, as a fraction of the GeoBlock header size.
         The cached aggregates follow the ``n_cells`` headers in slot order,
-        in new arrays: the headers stay shared with the block V2 came from.
+        written in place into rows reserved for the most cells the
+        threshold can cache. Only a build that needs more rows than are
+        reserved (the first, or one with a larger threshold) copies the
+        headers, into new arrays: the headers V2 starts with stay shared
+        with the block it came from and are never written.
         """
-        self.agg_trie = AggregateTrie.build(self, self.stats, threshold)
+        self.agg_trie = trie = AggregateTrie.build(self, self.stats, threshold)
         n = self.n_cells
-        counts, aggs = self.cell_aggregates(self.agg_trie.ids)
-        self.counts = np.r_[self.counts[:n], counts]
-        self.aggs = {
-            c: {s: np.r_[v[:n], aggs[c][s]] for s, v in a.items()} for c, a in self.aggs.items()
-        }
+        if trie.capacity > self.reserved_rows:
+            self.reserved_rows = trie.capacity
+            self.counts = _with_rows(self.counts, n, trie.capacity)
+            self.aggs = {
+                c: {s: _with_rows(v, n, trie.capacity) for s, v in a.items()}
+                for c, a in self.aggs.items()
+            }
+        rows = slice(n, n + len(trie))
+        counts, aggs = self.cell_aggregates(trie.ids)
+        self.counts[rows] = counts
+        for c, a in aggs.items():
+            for s, v in a.items():
+                self.aggs[c][s][rows] = v
 
     def _plan(self, cells):
         """Adapted planning (paper Figure 5): cached cells, and cached

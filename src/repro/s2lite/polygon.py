@@ -3,7 +3,7 @@
 Implements exactly the predicates the covering algorithm and baselines
 need: point-in-polygon (ray casting, vectorized), rectangle/polygon
 intersection and containment (a separating-axis edge test decides every
-rect an edge touches, one ray-cast corner every other rect), and the
+rect an edge touches, its ray-cast low corner every other rect), and the
 interior-rectangle extraction the paper uses to query the PHTree/RTree
 baselines ("we used S2 to get the interior rectangle of the query
 polygon").
@@ -11,9 +11,9 @@ polygon").
 Polygons are simple (non-self-intersecting) rings given as (lon, lat)
 vertex lists; boundaries follow ray-casting's half-open convention, which
 is immaterial for the paper's error model (errors are cell-sized, not
-point-sized). A polygon keeps its edges in one packed array of columns,
+point-sized). A polygon keeps its edges in two packed arrays of columns,
 so each predicate is a few broadcasts over (edges x rects) or (edges x
-points), with no per-edge Python loop.
+points), with no per-edge Python loop and no per-rect gather.
 """
 from dataclasses import dataclass
 
@@ -94,8 +94,8 @@ class Polygon:
              np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2)]
         )[:, :, None]
         # The edges a horizontal ray can cross (ray casting skips the rest),
-        # as (R, 1) columns of their endpoints.
-        self._ray_edges = np.stack([x1, y1, x2, y2])[:, y1 != y2, None]
+        # as (R, 1) columns: start, end latitude and direction.
+        self._ray_edges = np.stack([x1, y1, y2, x2 - x1, y2 - y1])[:, y1 != y2, None]
         self.bbox = Rect(float(x1.min()), float(y1.min()), float(x1.max()), float(y1.max()))
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -114,28 +114,24 @@ class Polygon:
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
         xs, ys = lons.ravel(), lats.ravel()
-        xa, ya, xb, yb = self._ray_edges
         inside = np.empty(xs.shape, dtype=bool)
-        step = _BLOCK // max(len(xa), 1)
+        step = _BLOCK // max(self._ray_edges.shape[1], 1)
         for i in range(0, len(xs), step):
-            x, y = xs[i : i + step], ys[i : i + step]
-            crosses = ((ya > y) != (yb > y)) & (x < (xb - xa) * (y - ya) / (yb - ya) + xa)
-            inside[i : i + step] = np.logical_xor.reduce(crosses, axis=0)
+            inside[i : i + step] = self._ray_cast(xs[i : i + step], ys[i : i + step])
         return inside.reshape(lons.shape)
+
+    def _ray_cast(self, x, y):
+        """Per point of the 1-D arrays ``x``, ``y``: does its rightward ray
+        cross an odd number of edges? One broadcast over every
+        ray-crossable edge."""
+        xa, ya, yb, dx, dy = self._ray_edges
+        crosses = ((ya > y) != (yb > y)) & (x < dx * (y - ya) / dy + xa)
+        return np.logical_xor.reduce(crosses, axis=0)
 
     def contains_point(self, lon: float, lat: float) -> bool:
         return bool(self.contains_points(np.array([lon]), np.array([lat]))[0])
 
     # -- rectangle predicates --------------------------------------------
-    def meets_bbox(self, lon_lo, lat_lo, lon_hi, lat_hi):
-        """Per closed rect (1-D arrays of bounds): does it meet the
-        polygon's closed bbox? The only test the covering descent makes
-        on levels whose cells are too large to fit inside the bbox."""
-        b = self.bbox
-        return ~(
-            (lon_lo > b.lon_hi) | (lon_hi < b.lon_lo) | (lat_lo > b.lat_hi) | (lat_hi < b.lat_lo)
-        )
-
     def classify_rects(self, lon_lo, lat_lo, lon_hi, lat_hi):
         """``(intersects, contains)`` boolean arrays for many closed rects,
         given as 1-D arrays of their bounds.
@@ -145,18 +141,14 @@ class Polygon:
         A rect that a polygon edge touches intersects and is not
         contained. A closed rect that no edge touches lies wholly inside
         or wholly outside the polygon, so one corner, ray-cast, decides
-        both answers; only those rects are cast. The covering descent
-        classifies a whole quadtree level per call; the one-rect
-        predicates below are the same call.
+        both answers. The low corner of every rect is cast, touched or
+        not, so the kernel is two broadcasts with no gather or scatter.
+        The covering descent classifies a whole quadtree level per call;
+        the one-rect predicates below are the same call.
         """
-        lon_lo, lat_lo, lon_hi, lat_hi = (
-            np.asarray(a, dtype=np.float64) for a in (lon_lo, lat_lo, lon_hi, lat_hi)
-        )
         touched = self._edges_touch(lon_lo, lat_lo, lon_hi, lat_hi)
-        free = ~touched
-        inside = np.zeros_like(touched)
-        inside[free] = self.contains_points(lon_lo[free], lat_lo[free])
-        return touched | inside, inside
+        cast = self._ray_cast(lon_lo, lat_lo)
+        return touched | cast, cast & ~touched
 
     def _edges_touch(self, lon_lo, lat_lo, lon_hi, lat_hi):
         """Per rect: does any polygon edge touch it anywhere?

@@ -346,9 +346,10 @@ def test_trie_rows_match_v1():
 
 
 def test_trie_rows_leave_v1_untouched():
-    """V2 shares V1's header arrays; each trie build gives V2 new arrays
-    holding the headers and then the cached rows in slot order, and
-    leaves V1's bit for bit as they were."""
+    """V2 shares V1's header arrays; the first trie build gives V2 new
+    arrays holding the headers and room for every cell the threshold
+    could cache, a rebuild that fits writes its rows into them in place,
+    and V1's arrays stay bit for bit as they were."""
     def header_bytes():
         aggs = {c: {s: a.tobytes() for s, a in stats.items()} for c, stats in V1.aggs.items()}
         return V1.counts.tobytes(), aggs
@@ -356,18 +357,29 @@ def test_trie_rows_leave_v1_untouched():
     before = header_bytes()
     v2 = fresh_v2()
     _train(v2, HOODS[:20])
-    for threshold in (0.05, 0.01):
+    arrays = None
+    for threshold in (0.05, 0.01, 0.02):
         v2.build_aggregate_trie(threshold)
         assert header_bytes() == before
         assert len(V1.counts) == V1.n_cells
         n, ids = v2.n_cells, v2.agg_trie.ids
-        assert len(ids) > 0 and len(v2.counts) == n + len(v2.agg_trie)
+        rows = n + len(ids)
+        assert len(ids) > 0 and len(v2.counts) == n + v2.reserved_rows >= rows
+        assert v2.reserved_rows == AggregateTrie.build(V1, v2.stats, 0.05).capacity
+        if arrays is None:
+            arrays = v2.counts, v2.aggs
+        # Smaller thresholds fit the rows reserved for 5%: no new arrays.
+        assert v2.counts is arrays[0] and v2.aggs is arrays[1]
         counts, aggs = V1.cell_aggregates(ids)
-        assert np.array_equal(v2.counts[:n], V1.counts) and np.array_equal(v2.counts[n:], counts)
+        assert np.array_equal(v2.counts[:n], V1.counts)
+        assert np.array_equal(v2.counts[n:rows], counts)
         for c, stats in aggs.items():
             for s, tail in stats.items():
                 assert np.array_equal(v2.aggs[c][s][:n], V1.aggs[c][s]), (c, s)
-                assert np.array_equal(v2.aggs[c][s][n:], tail), (c, s)
+                assert np.array_equal(v2.aggs[c][s][n:rows], tail), (c, s)
+    v2.build_aggregate_trie(0.2)  # a larger threshold needs more rows
+    assert len(v2.counts) == v2.n_cells + v2.reserved_rows > len(arrays[0])
+    assert header_bytes() == before
 
 
 def test_trie_has_node_on_paths():

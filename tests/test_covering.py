@@ -11,7 +11,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.s2lite.cell import (
@@ -25,6 +25,7 @@ from repro.s2lite.cell import (
 from repro.s2lite.covering import (
     _fit_level,
     _root_quad,
+    _start,
     exterior_covering,
     interior_covering,
     quad_bounds,
@@ -540,6 +541,77 @@ def test_fit_level_is_at_most_one_early():
         assert _fit_level(degenerate) == MAX_LEVEL
 
 
+@st.composite
+def grid_edges(draw, level, origin, extent):
+    """A closed interval on an axis ``extent`` degrees wide from
+    ``-origin``, split into ``2**level`` cells: each edge exactly on a cell
+    boundary, one float below or above it, or inside the cell. Zero-wide
+    intervals and intervals at the world's edges are drawn too."""
+    w = extent / (1 << level)
+    c = draw(st.integers(0, (1 << level) - 1))
+
+    def edge(col):
+        kind = draw(st.sampled_from(["on", "below", "above", "inside"]))
+        if kind == "inside":
+            return (col + draw(st.floats(0.0, 1.0, exclude_max=True))) * w - origin
+        at = col * w - origin
+        return float(np.nextafter(at, {"on": at, "below": -np.inf, "above": np.inf}[kind]))
+
+    lo = edge(c)
+    hi = lo if draw(st.booleans()) else edge(c + draw(st.integers(0, 4)))
+    return min(lo, hi), max(lo, hi)
+
+
+@st.composite
+def grid_bboxes(draw):
+    """A bbox whose edges sit on, beside or between the cell boundaries
+    of a drawn level, and a max level around that level."""
+    level = draw(st.integers(1, 24))
+    (lon_lo, lon_hi), (lat_lo, lat_hi) = draw(grid_edges(level, 180, 360)), draw(grid_edges(level, 90, 180))
+    max_level = level + draw(st.sampled_from([-level, -1, 0, 2, 5]))
+    return Rect(lon_lo, lat_lo, lon_hi, lat_hi), min(MAX_LEVEL, max(0, max_level))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=grid_bboxes())
+def test_fit_level_is_exact(case):
+    """The fit level is the first level at which a cell fits inside the
+    bbox in both axes, checked in exact arithmetic."""
+    from fractions import Fraction
+
+    bbox, _ = case
+    w = Fraction(bbox.lon_hi) - Fraction(bbox.lon_lo)
+    h = Fraction(bbox.lat_hi) - Fraction(bbox.lat_lo)
+    fits = [lv for lv in range(MAX_LEVEL + 1) if Fraction(360, 1 << lv) <= w and Fraction(180, 1 << lv) <= h]
+    assert _fit_level(bbox) == (fits[0] if fits else MAX_LEVEL)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=grid_bboxes())
+@example(case=(Rect(*quad_bounds(GRID_X, GRID_Y, GRID_LEVEL)), MAX_LEVEL))  # the root itself
+@example(case=(Rect(-180.0, -90.0, -180.0, 90.0), 17))  # zero-wide on the world's edge
+@example(case=(Rect(-100.0, 45.0, 180.0, 45.0), 17))  # zero-high, to the world's edge
+@example(case=(Rect(*quad_bounds(0, 0, 9)[:2], *quad_bounds(3, 2, 9)[2:]), MAX_LEVEL))
+def test_start_frontier_holds_every_cell_meeting_the_bbox(case):
+    """The descent's first frontier holds every descendant of the root at
+    its level whose closed rect meets the closed bbox, found by brute
+    force over the root's columns and rows, and nothing outside the root."""
+    bbox, max_level = case
+    rx, ry, root = _root_quad(bbox, max_level)
+    level, q = _start(bbox, max_level)
+    assert root <= level <= max_level
+    d = level - root
+    assume(d <= 20)
+    cols = np.arange(rx << d, (rx + 1) << d)
+    rows = np.arange(ry << d, (ry + 1) << d)
+    lon_lo, lat_lo, lon_hi, lat_hi = quad_bounds(cols, rows, level)
+    meet_x = cols[(lon_lo <= bbox.lon_hi) & (lon_hi >= bbox.lon_lo)]
+    meet_y = rows[(lat_lo <= bbox.lat_hi) & (lat_hi >= bbox.lat_lo)]
+    got = set(zip(*q.tolist()))
+    assert {(x, y) for x in meet_x.tolist() for y in meet_y.tolist()} <= got
+    assert all(x >> d == rx and y >> d == ry for x, y in got)
+
+
 @pytest.mark.parametrize("aspect", [50, 200])
 @pytest.mark.parametrize("tall", [False, True])
 def test_elongated_ring(aspect, tall):
@@ -589,6 +661,24 @@ def test_ring_across_the_first_split(ring):
     for level in (6, 9, 11):
         for min_level in (0, 8):
             assert_matches_reference(poly, level, min(min_level, level))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        [(-200.0, 10.0), (-190.0, 10.0), (-195.0, 15.0)],  # wholly past the world's edge
+        [(-181.0, 10.0), (-179.0, 10.2), (-180.5, 11.0)],  # across it
+    ],
+)
+def test_ring_past_the_edge_of_the_world(ring):
+    """A bbox past the world's edge has the root at level 0; the cells in
+    the world that the ring meets are its covering, none if it is wholly
+    outside."""
+    poly = Polygon(ring)
+    assert _root_quad(poly.bbox, MAX_LEVEL) == (0, 0, 0)
+    for level in (3, 9, 12):
+        assert_matches_reference(poly, level)
+    assert bool(exterior_covering(poly, 12)) == (ring[0][0] > -200.0)
 
 
 def test_min_and_max_level_around_the_fit_level():

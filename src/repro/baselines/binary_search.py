@@ -11,13 +11,7 @@ cell-covering queries, so its results are identical to the GeoBlock's by
 construction — only the cost differs: it touches every qualifying tuple
 where the GeoBlock touches one header per occupied cell.
 """
-from repro.core.geoblock import (
-    AggAccumulator,
-    cell_ranges,
-    gather_ranges,
-    needed_stats,
-    normalized_cells,
-)
+from repro.core.geoblock import aggregate, cell_ranges, gather_ranges, normalized_cells
 from repro.core.raw import RawTable
 from repro.s2lite.covering import exterior_covering
 
@@ -43,14 +37,13 @@ class BinarySearchEngine:
         :attr:`lower_bound` (vectorized over cells), then aggregate the
         raw tuples in between with the same segment reductions the
         GeoBlock uses over headers, so both engines' costs stay
-        proportional to elements scanned."""
-        cols = needed_stats(specs)
-        acc = AggAccumulator(cols)
+        proportional to elements scanned. Each needed column is gathered
+        once; a raw value is its own min, max and sum."""
         i0, i1 = cell_ranges(normalized_cells(cells, self.level), self.lower_bound)
         idx = gather_ranges(i0, i1)
-        if len(idx):
-            acc.combine(len(idx), self.raw.values(cols, idx))
-        return acc.finalize(specs)
+        cols = {c for c, op in specs if op != "count"}
+        vals = {c: self.raw.columns[c][idx] for c in cols}
+        return aggregate(specs, len(idx), lambda c, s: vals[c])
 
     def query_select(self, polygon, specs):
         return self.query_cells(self.cover(polygon), specs)

@@ -40,7 +40,6 @@ class BPlusTree:
         if len(keys) == 0:
             raise ValueError("cannot index an empty key array")
         self.keys = keys
-        self.n = len(keys)
         levels = []
         step = _ORDER
         arr = keys[::step].copy()

@@ -18,7 +18,7 @@ aggregates are stored in the tree).
 """
 import numpy as np
 
-from repro.core.geoblock import AggAccumulator, needed_stats
+from repro.core.geoblock import aggregate
 from repro.core.raw import RawTable
 from repro.s2lite.polygon import Polygon, Rect
 
@@ -132,20 +132,18 @@ class QuadtreeEngine:
     polygon's interior rectangle (so its results legitimately differ
     from the cell-covering engines, as the paper notes for PHTree)."""
 
-    def __init__(self, raw: RawTable, **tree_kw):
+    def __init__(self, raw: RawTable):
         self.raw = raw
-        self.tree = PointQuadtree(raw.lons, raw.lats, **tree_kw)
+        self.tree = PointQuadtree(raw.lons, raw.lats)
 
     def size_bytes(self) -> int:
         return self.tree.size_bytes()
 
     def query_rect(self, rect: Rect, specs):
         idx = self.tree.range_indices(rect)
-        cols = needed_stats(specs)
-        acc = AggAccumulator(cols)
-        if len(idx):
-            acc.combine(len(idx), self.raw.values(cols, idx))
-        return acc.finalize(specs)
+        cols = {c for c, op in specs if op != "count"}
+        vals = {c: self.raw.columns[c][idx] for c in cols}
+        return aggregate(specs, len(idx), lambda c, s: vals[c])
 
     def query_select(self, polygon: Polygon, specs):
         return self.query_rect(polygon.interior_rect(), specs)

@@ -28,17 +28,16 @@ _NODE_CAP = 16  # the paper's boost configuration
 
 
 class STRTree:
-    def __init__(self, lons, lats, *, node_cap: int = _NODE_CAP):
+    def __init__(self, lons, lats):
         n = len(lons)
         if n == 0:
             raise ValueError("cannot index an empty point set")
-        self.node_cap = node_cap
         # STR: sort by lon into vertical slabs, sort each slab by lat,
-        # pack runs of `node_cap` points into leaves.
+        # pack runs of `_NODE_CAP` points into leaves.
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
         order = np.argsort(lons, kind="stable")
-        n_leaves = math.ceil(n / node_cap)
+        n_leaves = math.ceil(n / _NODE_CAP)
         n_slabs = max(1, math.ceil(math.sqrt(n_leaves)))
         slab_sz = math.ceil(n / n_slabs)
         final = np.empty(n, dtype=np.int64)
@@ -50,21 +49,21 @@ class STRTree:
         self.lons = lons[final]
         self.lats = lats[final]
         self.n = n
-        # Level 0 = leaves; parent of node i at level k is i // node_cap
+        # Level 0 = leaves; parent of node i at level k is i // _NODE_CAP
         # at level k+1 (STR packing is positional).
         self.levels = []  # list of dicts of numpy arrays, leaves first
 
         def pack(lon_lo, lat_lo, lon_hi, lat_hi, count):
             m = len(count)
-            k = math.ceil(m / node_cap)
-            pad = k * node_cap - m
+            k = math.ceil(m / _NODE_CAP)
+            pad = k * _NODE_CAP - m
             if pad:
                 lon_lo = np.r_[lon_lo, np.full(pad, np.inf)]
                 lat_lo = np.r_[lat_lo, np.full(pad, np.inf)]
                 lon_hi = np.r_[lon_hi, np.full(pad, -np.inf)]
                 lat_hi = np.r_[lat_hi, np.full(pad, -np.inf)]
                 count = np.r_[count, np.zeros(pad, dtype=np.int64)]
-            sh = (k, node_cap)
+            sh = (k, _NODE_CAP)
             return {
                 "lon_lo": lon_lo.reshape(sh).min(axis=1),
                 "lat_lo": lat_lo.reshape(sh).min(axis=1),
@@ -73,7 +72,7 @@ class STRTree:
                 "count": count.reshape(sh).sum(axis=1),
             }
 
-        pad = n_leaves * node_cap - n
+        pad = n_leaves * _NODE_CAP - n
         px = np.r_[self.lons, np.full(pad, np.inf)]
         py = np.r_[self.lats, np.full(pad, np.inf)]
         nx = np.r_[self.lons, np.full(pad, -np.inf)]
@@ -123,14 +122,14 @@ class STRTree:
                 return total
             if depth == 0:
                 # Boundary leaves: test their raw points.
-                starts = partial * self.node_cap
-                idx = (starts[:, None] + np.arange(self.node_cap)).ravel()
+                starts = partial * _NODE_CAP
+                idx = (starts[:, None] + np.arange(_NODE_CAP)).ravel()
                 idx = idx[idx < self.n]
                 total += int(
                     rect.contains_points(self.lons[idx], self.lats[idx]).sum()
                 )
                 return total
-            cand = (partial[:, None] * self.node_cap + np.arange(self.node_cap)).ravel()
+            cand = (partial[:, None] * _NODE_CAP + np.arange(_NODE_CAP)).ravel()
             cand = cand[cand < len(self.levels[depth - 1]["count"])]
         return total
 
@@ -140,9 +139,9 @@ class RTreeEngine:
     RTree from all non-runtime experiments and from result comparisons,
     because it reports counts only and uses the rectangle mapping)."""
 
-    def __init__(self, raw, **tree_kw):
+    def __init__(self, raw):
         self.raw = raw
-        self.tree = STRTree(raw.lons, raw.lats, **tree_kw)
+        self.tree = STRTree(raw.lons, raw.lats)
 
     def size_bytes(self) -> int:
         return self.tree.size_bytes()

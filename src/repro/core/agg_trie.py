@@ -30,7 +30,6 @@ _CHILD_BLOCK_BYTES = 4 * _NODE_BYTES  # children are allocated 4 at a time
 
 class AggregateTrie:
     def __init__(self, root: int):
-        self.root = root
         self.root_level = cell_level(root)
 
     # -- construction -----------------------------------------------------

@@ -22,6 +22,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
 from repro.core.geoblock import GeoBlock
+from repro.core.raw import LAT_COL, LON_COL
 from repro.s2lite.cell import MAX_LEVEL, point_keys_from_latlon
 
 __all__ = [
@@ -31,14 +32,10 @@ __all__ = [
     "geoblock_from_spark",
 ]
 
+KEY_COL = "skey"  # the materialized level-30 point key
 
-def with_spatial_key(
-    df: DataFrame,
-    *,
-    lat_col: str = "dropoff_lat",
-    lon_col: str = "dropoff_lon",
-    key_col: str = "skey",
-) -> DataFrame:
+
+def with_spatial_key(df: DataFrame) -> DataFrame:
     """Materialize the level-30 spatial point key as a column (the paper
     materializes the S2 key "to speed up repeated benchmarking runs")."""
 
@@ -46,7 +43,7 @@ def with_spatial_key(
     def _key(lat: pd.Series, lon: pd.Series) -> pd.Series:
         return pd.Series(point_keys_from_latlon(lat.to_numpy(), lon.to_numpy()))
 
-    return df.withColumn(key_col, _key(F.col(lat_col), F.col(lon_col)))
+    return df.withColumn(KEY_COL, _key(F.col(LAT_COL), F.col(LON_COL)))
 
 
 def cell_expr(key_col: str, level: int):
@@ -57,9 +54,7 @@ def cell_expr(key_col: str, level: int):
     return F.col(key_col).bitwiseAND(F.lit(-lsb)).bitwiseOR(F.lit(lsb))
 
 
-def build_headers_spark(
-    df: DataFrame, level: int, value_cols, *, key_col: str = "skey"
-) -> DataFrame:
+def build_headers_spark(df: DataFrame, level: int, value_cols) -> DataFrame:
     """CellBlock-header relation: one row per non-empty grid cell.
 
     Schema: ``cell``, ``cnt`` and ``{col}__min/max/sum`` per value
@@ -73,21 +68,13 @@ def build_headers_spark(
             F.max(c).alias(f"{c}__max"),
             F.sum(c).alias(f"{c}__sum"),
         ]
-    return df.groupBy(cell_expr(key_col, level).alias("cell")).agg(*aggs).orderBy("cell")
+    return df.groupBy(cell_expr(KEY_COL, level).alias("cell")).agg(*aggs).orderBy("cell")
 
 
-def geoblock_from_spark(
-    df: DataFrame,
-    level: int,
-    value_cols,
-    *,
-    key_col: str = "skey",
-) -> GeoBlock:
+def geoblock_from_spark(df: DataFrame, level: int, value_cols) -> GeoBlock:
     """Collect the header relation into the driver-side GeoBlock layout."""
-    hdr = build_headers_spark(df, level, value_cols, key_col=key_col).toPandas()
-    krange = df.agg(
-        F.min(key_col).alias("kmin"), F.max(key_col).alias("kmax")
-    ).first()
+    hdr = build_headers_spark(df, level, value_cols).toPandas()
+    krange = df.agg(F.min(KEY_COL).alias("kmin"), F.max(KEY_COL).alias("kmax")).first()
     aggs = {
         c: {
             "min": hdr[f"{c}__min"].to_numpy(dtype="float64"),

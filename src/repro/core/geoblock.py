@@ -21,14 +21,14 @@ Every query runs in two steps, plan then execute:
   a cached cell becomes its row, an uncached cell with cached *direct
   children* becomes their rows plus the children left over, and every
   other cell is planned as in V1 (Figure 5 of the paper).
-- **Execute.** One gather and one reduction over the plan's rows. Cost
-  is proportional to the number of CellBlocks scanned, as in the paper
+- **Execute.** One gather and one reduction over the plan's rows, by
+  :func:`aggregate`, the answer step every engine shares. Cost is
+  proportional to the number of CellBlocks scanned, as in the paper
   (gathered reductions, deliberately not prefix sums).
 
 COUNT reads only the first and last header of each V1 range:
 ``offset_last + count_last - offset_first``.
 """
-import math
 import time
 
 import numpy as np
@@ -39,9 +39,10 @@ from repro.core.stats_trie import StatsTrie
 from repro.s2lite.cell import MAX_LEVEL
 from repro.s2lite.covering import exterior_covering
 
-__all__ = ["GeoBlock", "AdaptiveGeoBlock", "AggAccumulator", "cell_ranges", "needed_stats"]
+__all__ = ["GeoBlock", "AdaptiveGeoBlock", "aggregate", "cell_ranges"]
 
 _STATS = ("min", "max", "sum")
+_OPS = ("count", "sum", "avg", *_STATS)
 
 
 def gather_ranges(i0, i1):
@@ -104,25 +105,33 @@ def cell_ranges(cells, lower_bound):
     return bounds[: len(cells)], bounds[len(cells) :]
 
 
-def needed_stats(specs):
-    """Map aggregate specs to the per-column stats that must be combined,
-    ``{col: {"min", "max", "sum"} subset}`` (``avg`` needs the sum; the
-    count is always kept)."""
-    cols = {}
-    for col, op in specs:
-        if op in _STATS:
-            cols.setdefault(col, set()).add(op)
-        elif op == "avg":
-            cols.setdefault(col, set()).add("sum")
-        elif op != "count":
+def aggregate(specs, count, values):
+    """The answer to ``specs`` over ``count`` selected tuples, the one
+    answer step of every engine. ``values(col, stat)`` gives the array
+    that reduces by ``stat`` (min, max or sum; ``avg`` is the sum over the
+    count) to the column's answer: the ``stat`` of the selected header
+    rows, or the selected raw values, each its own min, max and sum. An
+    unknown op is rejected also when nothing is selected; an empty answer
+    sums to 0.0 and has no min, max or avg. The answer is keyed by the
+    spec tuples themselves, not copies, so answers a caller keeps share
+    their keys."""
+    specs = list(map(tuple, specs))
+    for _, op in specs:
+        if op not in _OPS:
             raise ValueError(f"unknown aggregate op {op!r}")
-    return cols
-
-
-def _select(aggs, cols, idx):
-    """The elements at ``idx`` of the per-column stat arrays ``aggs``
-    (``{col: {stat: array}}``) that the query's ``cols`` need."""
-    return {c: {op: aggs[c][op][idx] for op in ops} for c, ops in cols.items()}
+    count = int(count)
+    out = {}
+    for key in specs:
+        col, op = key
+        if op == "count":
+            out[key] = count
+        elif count == 0:
+            out[key] = 0.0 if op == "sum" else None
+        elif op == "avg":
+            out[key] = float(values(col, "sum").sum()) / count
+        else:
+            out[key] = float(getattr(values(col, op), op)())
+    return out
 
 
 def _reduce_segments(values, starts):
@@ -147,49 +156,6 @@ def _with_rows(a, n: int, extra: int):
     return out
 
 
-class AggAccumulator:
-    """Running combination of aggregates for one query."""
-
-    def __init__(self, cols):
-        self.count = 0
-        self.mins = {c: math.inf for c in cols}
-        self.maxs = {c: -math.inf for c in cols}
-        self.sums = {c: 0.0 for c in cols}
-
-    def combine(self, count, values):
-        """Fold ``count`` tuples into the result, given per column
-        ``values[c][stat]``: the arrays of the elements' ``stat`` (their
-        min/max/sum, or raw values for tuples) for the stats to combine."""
-        self.count += count
-        for c, stats in values.items():
-            if "min" in stats:
-                self.mins[c] = min(self.mins[c], float(stats["min"].min()))
-            if "max" in stats:
-                self.maxs[c] = max(self.maxs[c], float(stats["max"].max()))
-            if "sum" in stats:
-                self.sums[c] += float(stats["sum"].sum())
-
-    def finalize(self, specs):
-        """Project the accumulator onto the requested ``specs``. The answer
-        is keyed by the spec tuples themselves, not copies, so answers a
-        caller keeps share their keys."""
-        empty = self.count == 0
-        out = {}
-        for key in map(tuple, specs):
-            col, op = key
-            if op == "count":
-                out[key] = int(self.count)
-            elif op == "sum":
-                out[key] = 0.0 if empty else float(self.sums[col])
-            elif op == "min":
-                out[key] = None if empty else float(self.mins[col])
-            elif op == "max":
-                out[key] = None if empty else float(self.maxs[col])
-            elif op == "avg":
-                out[key] = None if empty else float(self.sums[col]) / self.count
-        return out
-
-
 class GeoBlock:
     """The non-adaptive GeoBlock (paper's "Blocks V1")."""
 
@@ -207,9 +173,11 @@ class GeoBlock:
         self.value_cols = list(value_cols)
         self.key_min = key_min  # smallest point key in the block
         self.key_max = key_max
-        self.block_header = AggAccumulator(self.value_cols)
-        if len(keys):
-            self.block_header.combine(int(counts.sum()), aggs)
+        self.block_header = aggregate(
+            [(c, op) for c in self.value_cols for op in ("count", *_STATS)],
+            counts.sum(),
+            lambda c, s: aggs[c][s],
+        )
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -278,19 +246,14 @@ class GeoBlock:
         """A plan is the index array of the header rows to combine."""
         return gather_ranges(*self._ranges(cells))
 
-    def _execute(self, plan, cols) -> AggAccumulator:
-        """Combine the rows at the indices ``plan`` in one reduction
-        (``cols`` as returned by :func:`needed_stats`)."""
-        acc = AggAccumulator(cols)
-        if len(plan):
-            acc.combine(int(self.counts[plan].sum()), _select(self.aggs, cols, plan))
-        return acc
+    def _execute(self, plan, specs):
+        """Answer ``specs`` over the rows at the indices ``plan``, one
+        gather and one reduction per stat."""
+        return aggregate(specs, self.counts[plan].sum(), lambda c, s: self.aggs[c][s][plan])
 
     def query_cells(self, cells, specs):
         """SELECT over an explicit list of covering cells."""
-        cells = normalized_cells(cells, self.level)
-        cols = needed_stats(specs)
-        return self._execute(self._plan(cells), cols).finalize(specs)
+        return self._execute(self._plan(normalized_cells(cells, self.level)), specs)
 
     def query_select(self, polygon, specs):
         """SELECT over a query polygon (covering computed here)."""
@@ -327,8 +290,8 @@ class GeoBlock:
             starts = np.cumsum(lens) - lens
             idx = gather_ranges(i0[full], i1[full])
             counts[full] = np.add.reduceat(self.counts[idx], starts)
-            every = {c: _STATS for c in self.value_cols}
-            for c, seg in _reduce_segments(_select(self.aggs, every, idx), starts).items():
+            rows = {c: {s: a[s][idx] for s in _STATS} for c, a in self.aggs.items()}
+            for c, seg in _reduce_segments(rows, starts).items():
                 for stat, v in seg.items():
                     aggs[c][stat][full] = v
         return counts, aggs

@@ -16,6 +16,7 @@ import pandas as pd
 from repro.s2lite.cell import parent, point_keys_from_latlon
 
 CHUNK_ROWS = 1 << 16  # rows per encoder call and per gather in extract_and_reorganize
+LAT_COL, LON_COL = "dropoff_lat", "dropoff_lon"  # the point of a ride record
 
 
 @dataclass
@@ -31,10 +32,6 @@ class RawTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def value_cols(self):
-        return list(self.columns)
-
     def size_bytes(self) -> int:
         """Bytes of the queryable payload (key column + value columns),
         the denominator of the paper's relative-overhead figures."""
@@ -42,25 +39,12 @@ class RawTable:
             self.keys.nbytes + sum(a.nbytes for a in self.columns.values())
         )
 
-    def values(self, cols, idx):
-        """Values at ``idx`` of the columns in ``cols`` (as returned by
-        ``needed_stats``), shaped for ``AggAccumulator.combine``: a raw
-        value is its own min, max and sum."""
-        return {c: dict.fromkeys(stats, self.columns[c][idx]) for c, stats in cols.items()}
-
     def cells_at(self, level: int) -> np.ndarray:
         """Cell id at ``level`` for every tuple (vectorized parent)."""
         return np.asarray(parent(self.keys, level), dtype=np.int64)
 
 
-def extract_and_reorganize(
-    taxi: pd.DataFrame,
-    value_cols,
-    *,
-    lat_col: str = "dropoff_lat",
-    lon_col: str = "dropoff_lon",
-    predicate=None,
-) -> RawTable:
+def extract_and_reorganize(taxi: pd.DataFrame, value_cols, *, predicate=None) -> RawTable:
     """Build a :class:`RawTable` from raw ride records.
 
     ``predicate``, if given, is a boolean-mask function applied before
@@ -73,8 +57,8 @@ def extract_and_reorganize(
     if predicate is not None:
         taxi = taxi.loc[predicate(taxi)]
     t0 = time.perf_counter()
-    lats = taxi[lat_col].to_numpy(dtype=np.float64)
-    lons = taxi[lon_col].to_numpy(dtype=np.float64)
+    lats = taxi[LAT_COL].to_numpy(dtype=np.float64)
+    lons = taxi[LON_COL].to_numpy(dtype=np.float64)
     n = len(lats)
     # One allocation holds the sorted keys, value columns, lats and lons,
     # and every column-sized step writes into it: a block this large is

@@ -23,6 +23,7 @@ nested-loop range join is the intended plan.
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.build import KEY_COL
 from repro.s2lite.cell import range_max, range_min
 from repro.s2lite.covering import exterior_covering
 
@@ -82,7 +83,7 @@ def query_headers_spark(headers: DataFrame, ranges: DataFrame, specs) -> DataFra
     )
 
 
-def query_points_spark(points: DataFrame, ranges: DataFrame, specs, *, key_col="skey") -> DataFrame:
+def query_points_spark(points: DataFrame, ranges: DataFrame, specs) -> DataFrame:
     """On-the-fly distributed aggregation over raw points (the baseline
     the paper's Figure 1 calls "computing aggregates on the fly")."""
     aggs = []
@@ -95,5 +96,5 @@ def query_points_spark(points: DataFrame, ranges: DataFrame, specs, *, key_col="
         else:
             aggs.append(getattr(F, op)(col).alias(name))
     return (
-        _range_join(points, ranges, key_col).groupBy("qid").agg(*aggs).orderBy("qid")
+        _range_join(points, ranges, KEY_COL).groupBy("qid").agg(*aggs).orderBy("qid")
     )

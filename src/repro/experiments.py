@@ -65,7 +65,6 @@ TIMING_BLOCKS = 3
 class Setup:
     """Dataset + workload + precomputed query plans for one block level."""
 
-    sf: float
     taxi: pd.DataFrame
     raw: RawTable
     hoods: list
@@ -89,7 +88,6 @@ def make_setup(sf: float = BENCH_SF, *, seed: int = 7) -> Setup:
     raw = extract_and_reorganize(taxi, VALUE_COLS)
     hoods = neighborhoods()
     return Setup(
-        sf=sf,
         taxi=taxi,
         raw=raw,
         hoods=hoods,

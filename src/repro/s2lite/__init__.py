@@ -14,10 +14,8 @@ from repro.s2lite.cell import (  # noqa: F401
     cell_bounds,
     cell_diag_meters,
     cell_from_latlon,
-    cell_from_token,
     cell_id_from_quad,
     cell_level,
-    cell_to_token,
     children,
     common_ancestor,
     contains,

@@ -168,13 +168,3 @@ def cell_diag_meters(level: int) -> float:
     dx = 360.0 / n * _M_PER_DEG_LON
     dy = 180.0 / n * _M_PER_DEG_LAT
     return float(np.hypot(dx, dy))
-
-
-def cell_to_token(cid: int) -> str:
-    """Hex token of a cell id (S2-style debugging aid)."""
-    return format(int(cid), "016x")
-
-
-def cell_from_token(token: str) -> int:
-    """Inverse of :func:`cell_to_token`."""
-    return int(token, 16)

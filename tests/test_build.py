@@ -140,4 +140,5 @@ def test_releveling_from_key_column(taxi_sdf):
     coarse = geoblock_from_spark(taxi_sdf, 10, VALUE_COLS)
     fine = geoblock_from_spark(taxi_sdf, 16, VALUE_COLS)
     assert coarse.n_cells < fine.n_cells
-    assert coarse.block_header.count == fine.block_header.count
+    count = (VALUE_COLS[0], "count")
+    assert coarse.block_header[count] == fine.block_header[count]

@@ -9,10 +9,8 @@ from repro.s2lite.cell import (
     cell_bounds,
     cell_diag_meters,
     cell_from_latlon,
-    cell_from_token,
     cell_id_from_quad,
     cell_level,
-    cell_to_token,
     children,
     common_ancestor,
     contains,
@@ -135,11 +133,6 @@ def test_common_ancestor():
 def test_common_ancestor_of_same_cell():
     a = cell_from_latlon(*NYC, 18)
     assert common_ancestor(a, a) == a
-
-
-def test_token_roundtrip():
-    cid = cell_from_latlon(*NYC, 17)
-    assert cell_from_token(cell_to_token(cid)) == cid
 
 
 def test_diag_meters_halves_per_level():

@@ -398,7 +398,8 @@ def test_generated_rings_match_reference(poly, level, min_level):
 @given(poly=nyc_rings(max_aspect=200.0), level=st.integers(10, 17), min_level=st.sampled_from([0, 12]))
 def test_elongated_generated_rings_match_reference(poly, level, min_level):
     """Up to 200:1 in either orientation: the fit level follows the short
-    side, so the bbox-only levels reach far below the root."""
+    side, so the descent starts far below the root, from every cell under
+    the root in the bbox's column and row range at that level."""
     assert_matches_reference(poly, level, min(min_level, level))
 
 
@@ -653,8 +654,8 @@ def test_one_cell_ring():
     ],
 )
 def test_ring_across_the_first_split(ring):
-    """A bbox across lon 0 or lat 0 has the root at level 0, so every
-    level down to the fit level is bbox-only."""
+    """A bbox across lon 0 or lat 0 has the root at level 0, so the
+    descent starts at the fit level, at least 7 levels below the root."""
     poly = Polygon(ring)
     assert _root_quad(poly.bbox, MAX_LEVEL)[2] == 0
     assert _fit_level(poly.bbox) >= 7

@@ -3,10 +3,14 @@ against brute-force cell aggregation, COUNT queries, error bounds."""
 import numpy as np
 import pytest
 
-from repro.core.geoblock import GeoBlock, needed_stats
+from repro.baselines.binary_search import BinarySearchEngine
+from repro.baselines.btree import BTreeEngine
+from repro.baselines.quadtree import QuadtreeEngine
+from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
 from repro.core.raw import extract_and_reorganize
 from repro.exact import exact_aggregates, exact_mask, relative_count_error
 from repro.s2lite.cell import cell_level, parent, range_max, range_min
+from repro.s2lite.polygon import Rect
 from repro.synth_data import nyc_taxi_pandas
 from repro.workloads import DEFAULT_AGGS, VALUE_COLS, neighborhoods
 
@@ -78,11 +82,11 @@ def test_every_tuple_in_its_cell():
 
 def test_block_header_totals():
     hdr = BLOCK.block_header
-    assert hdr.count == len(RAW)
     for c in VALUE_COLS:
-        assert hdr.mins[c] == pytest.approx(RAW.columns[c].min())
-        assert hdr.maxs[c] == pytest.approx(RAW.columns[c].max())
-        assert hdr.sums[c] == pytest.approx(RAW.columns[c].sum(), rel=1e-12)
+        assert hdr[c, "count"] == len(RAW)
+        assert hdr[c, "min"] == pytest.approx(RAW.columns[c].min())
+        assert hdr[c, "max"] == pytest.approx(RAW.columns[c].max())
+        assert hdr[c, "sum"] == pytest.approx(RAW.columns[c].sum(), rel=1e-12)
 
 
 def test_key_range_matches_raw():
@@ -158,10 +162,24 @@ def test_select_empty_region():
 
 
 def test_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        BLOCK.query_cells([int(BLOCK.keys[0])], [("trip_distance", "median")])
-    with pytest.raises(ValueError):
-        needed_stats([("x", "p99")])
+    """Every engine rejects an unknown op, on a plan that selects tuples
+    and on one that selects none."""
+    v2 = AdaptiveGeoBlock.from_block(BLOCK)
+    v2.query_cells(BLOCK.cover(HOODS[0]), DEFAULT_AGGS)
+    v2.build_aggregate_trie(1.0)
+    full, empty = [int(BLOCK.keys[0])], []
+    for engine in (BLOCK, v2, BinarySearchEngine(RAW, 15), BTreeEngine(RAW, 15)):
+        for cells in (full, empty):
+            assert (engine.count_cells(cells) > 0) == bool(cells)
+            for spec in (("trip_distance", "median"), ("dropoff_ts", "p99")):
+                with pytest.raises(ValueError):
+                    engine.query_cells(cells, [("trip_distance", "sum"), spec])
+    qt = QuadtreeEngine(RAW)
+    count = ("trip_distance", "count")
+    for rect, populated in ((HOODS[0].interior_rect(), True), (Rect(10, 10, 10.01, 10.01), False)):
+        assert (qt.query_rect(rect, [count])[count] > 0) == populated
+        with pytest.raises(ValueError):
+            qt.query_rect(rect, [("trip_distance", "median")])
 
 
 def test_query_cell_coarser_than_level():

@@ -7,8 +7,11 @@ over the raw keys does, also for arbitrary cell sets drawn by
 hypothesis. Cells finer than the block level hold no CellBlock of their
 own, so every path must reject them. Edge polygons (far outside the
 data, a collinear sliver, edges on cell boundaries) get one answer from
-V1, V2, COUNT, BinarySearch and BTree.
+V1, V2, COUNT, BinarySearch and BTree. One digest pins every engine's
+answers bit for bit.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.baselines.binary_search import BinarySearchEngine
 from repro.baselines.btree import BTreeEngine
+from repro.baselines.quadtree import QuadtreeEngine
 from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
 from repro.core.raw import extract_and_reorganize
+from repro.experiments import EXTENDED_AGGS
 from repro.s2lite.cell import cell_from_latlon, cell_level, children, parent, range_max, range_min
 from repro.s2lite.covering import quad_bounds
 from repro.s2lite.polygon import Polygon
@@ -204,3 +209,23 @@ def test_any_cell_set_gives_the_brute_force_answer(cells):
             else:  # sums up to float association
                 assert got[k] == pytest.approx(v, rel=1e-9), (engine, k)
         assert engine.count_cells(cells) == want[COUNT]
+
+
+DIGEST_AGGS = EXTENDED_AGGS + [("trip_distance", "avg"), ("dropoff_ts", "sum")]
+ANSWER_DIGEST = "cee38907b0795c567183a3551a86235d34a2ff8f5b47cd4d9a4715ad4952067b"
+
+
+def test_answer_digest():
+    """Every aggregate of V1, V2 trained at 5%, BinarySearch and BTree on
+    every neighborhood covering and an empty plan, and of the PHTree
+    stand-in on the neighborhoods' interior rects, hashed in one digest:
+    the answers stay bit-identical, not just equal up to float
+    association."""
+    h = hashlib.sha256()
+    for engine in (V1, trained_v2(0.05), BS, BT):
+        for cells in PLANS + [[]]:
+            h.update(repr(engine.query_cells(cells, DIGEST_AGGS)).encode())
+    qt = QuadtreeEngine(RAW)
+    for poly in HOODS:
+        h.update(repr(qt.query_rect(poly.interior_rect(), DIGEST_AGGS)).encode())
+    assert h.hexdigest() == ANSWER_DIGEST
